@@ -10,7 +10,14 @@ from .autodiff import (
     ValidationError,
     backward,
 )
-from .bank import AlphaWeights, GradientBank, SampledGradients, apply_decay, compute_alpha, cosine_sim
+from .bank import (
+    AlphaWeights,
+    GradientBank,
+    NonFiniteGradientError,
+    SampledGradients,
+    apply_decay,
+    compute_alpha,
+)
 from .data import CorpusSpec, Dataset, EegClip, ParseError, generate, read, split, write
 from .encoder import ConfigError, Encoder, EncoderConfig
 from .metrics import MetricsReport, UndefinedMetricError, auroc, confusion, rates, report

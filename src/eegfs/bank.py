@@ -6,6 +6,18 @@ search pool. Sampling keeps, per anchor, the top-k pool gradients by
 cosine similarity; an exponential age decay is applied before averaging
 everything down to one channel-weight vector, blended between the
 sampled history and the newest batch by a momentum coefficient.
+
+Sampling follows the memory-queue scoring of MoCo (He et al. 2020) and
+cross-batch memory (Wang et al. 2020). Each entry's flattened row norms
+are computed once, the first time a sample needs them, and kept beside
+the queue until the entry is evicted. All anchors are scored against
+the pool with one matrix product per older entry, and a partial sort
+finds each anchor's k-th best score. Only the columns within 1e-9 of
+that score are ordered exactly: they are re-scored pair by pair, so
+that identical rows score identically wherever they sit in the pool,
+and ties go to the lower (iteration, sample index). No row is copied
+into a pool array; only the candidates and the selected rows are
+gathered.
 """
 
 from __future__ import annotations
@@ -27,21 +39,20 @@ class WarmupError(BankUsageError):
     """Sampling requested before the bank holds enough entries."""
 
 
-def cosine_sim(g1: np.ndarray, g2: np.ndarray) -> float:
-    """Cosine similarity of two equal-shape gradients, flattened.
+class NonFiniteGradientError(ValidationError):
+    """Gradients pushed into the bank hold NaN or infinite values, or values
+    so large that their squared norm overflows; carries the iteration."""
 
-    Returns 0 when either norm is below 1e-12, so degenerate gradients
-    never outrank informative ones.
-    """
-    a = np.asarray(g1, dtype=np.float64).ravel()
-    b = np.asarray(g2, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise DimensionError(f"cosine_sim: shapes {g1.shape} and {g2.shape} differ")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-12 or nb < 1e-12:
-        return 0.0
-    return float(a @ b / (na * nb))
+    def __init__(self, iteration: int, sq_norm: float):
+        super().__init__(
+            f"push: gradients of iteration {iteration} have a non-finite "
+            f"squared norm ({sq_norm})")
+        self.iteration = iteration
+        self.sq_norm = sq_norm
+
+
+_NORM_FLOOR = 1e-12  # rows and anchors with a smaller norm score 0
+_TIE_BAND = 1e-9     # far above GEMM rounding, far below real score gaps
 
 
 @dataclass
@@ -92,6 +103,8 @@ class GradientBank:
         self.channels = channels
         self.spatial = spatial
         self.entries: deque[tuple[int, np.ndarray]] = deque()
+        # flattened row norms of held entries, by iteration, filled by sampling
+        self._row_norms: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -101,9 +114,13 @@ class GradientBank:
         return len(self.entries) == self.capacity + 1
 
     def push(self, iteration: int, grads: np.ndarray) -> None:
-        """Enqueue one iteration's per-sample gradients; evict the oldest
-        entry once more than capacity+1 are held."""
-        grads = np.asarray(grads, dtype=np.float64)
+        """Enqueue a copy of one iteration's per-sample gradients; evict the
+        oldest entry once more than capacity+1 are held.
+
+        Raises NonFiniteGradientError, and leaves the bank unchanged, when
+        any gradient value is NaN or infinite: sampling could not rank it.
+        """
+        grads = np.array(grads, dtype=np.float64)
         if grads.ndim != 3 or grads.shape[1:] != (self.channels, self.spatial):
             raise DimensionError(
                 f"push: gradients shape {grads.shape} does not match "
@@ -111,63 +128,94 @@ class GradientBank:
         if self.entries and iteration <= self.entries[-1][0]:
             raise BankUsageError(
                 f"push: iteration {iteration} not after {self.entries[-1][0]}")
-        self.entries.append((iteration, grads.copy()))
+        flat = grads.reshape(-1)
+        sq_norm = float(flat @ flat)  # NaN or inf anywhere makes this non-finite
+        if not np.isfinite(sq_norm):
+            raise NonFiniteGradientError(iteration, sq_norm)
+        self.entries.append((iteration, grads))
         if len(self.entries) > self.capacity + 1:
-            self.entries.popleft()
+            evicted, _ = self.entries.popleft()
+            self._row_norms.pop(evicted, None)
+
+    def _norms(self, iteration: int, grads: np.ndarray) -> np.ndarray:
+        norms = self._row_norms.get(iteration)
+        if norms is None:
+            norms = np.linalg.norm(grads.reshape(grads.shape[0], -1), axis=1)
+            self._row_norms[iteration] = norms
+        return norms
 
     def sample_top_k(self) -> SampledGradients:
         """Select, per anchor row of the newest entry, the top-k most
         cosine-similar rows from all strictly older entries.
 
-        Ties break toward the lower (iteration, sample index). Rows may
-        be selected by several anchors; duplicates are kept.
+        Rows or anchors with a norm below 1e-12 score 0. Every anchor is
+        scored against the whole pool with one GEMM per older entry, using
+        the cached row norms. The columns scoring within 1e-9 of an
+        anchor's k-th best score are then re-scored one pair at a time,
+        because GEMM rounding can differ between copies of one row held in
+        different entries, and sorted by (-score, iteration, sample index).
+        Rows may be selected by several anchors; duplicates are kept. The
+        output is ordered by anchor, then by rank.
         """
         if len(self.entries) < 2:
             raise WarmupError("sampling needs the newest entry plus at least one older one")
-        newest_iter, anchors = self.entries[-1]
-
-        pool_rows = []
-        pool_keys = []
-        pool_ages = []
-        for it, grads in list(self.entries)[:-1]:
-            for si in range(grads.shape[0]):
-                pool_rows.append(grads[si].ravel())
-                pool_keys.append((it, si))
-                pool_ages.append(newest_iter - it + 1)
-        pool = np.stack(pool_rows)
-        pool_norms = np.linalg.norm(pool, axis=1)
-        iters = np.array([k[0] for k in pool_keys])
-        samples = np.array([k[1] for k in pool_keys])
-
+        *older, (newest_iter, anchors) = self.entries
+        sizes = [g.shape[0] for _, g in older]
+        starts = np.cumsum([0] + sizes[:-1])
+        pool_size = sum(sizes)
         k = self.top_k
-        if k > len(pool_rows):
+        if k > pool_size:
             raise ValidationError(
-                f"top_k={k} exceeds the {len(pool_rows)} gradients available")
+                f"top_k={k} exceeds the {pool_size} gradients available")
 
-        chosen_rows = []
-        chosen_ages = []
-        chosen_keys = []
-        for i in range(anchors.shape[0]):
-            a = anchors[i].ravel()
-            na = np.linalg.norm(a)
-            if na < 1e-12:
-                sims = np.zeros(len(pool_rows))
-            else:
-                sims = pool @ a / np.where(pool_norms < 1e-12, 1.0, pool_norms * na)
-                sims[pool_norms < 1e-12] = 0.0
-            # lexsort: last key is primary -> sort by -sim, then iter, then sample
-            order = np.lexsort((samples, iters, -sims))[:k]
-            for j in order:
-                chosen_rows.append(pool[j].reshape(self.channels, self.spatial))
-                chosen_ages.append(pool_ages[j])
-                chosen_keys.append(pool_keys[j])
+        b = anchors.shape[0]
+        flat_anchors = anchors.reshape(b, -1)
+        anchor_norms = self._norms(newest_iter, anchors)
+        scores = np.empty((pool_size, b))
+        pool_norms = np.empty(pool_size)
+        for (it, g), start in zip(older, starts):
+            rows = slice(start, start + g.shape[0])
+            np.matmul(g.reshape(g.shape[0], -1), flat_anchors.T, out=scores[rows])
+            pool_norms[rows] = self._norms(it, g)
+        scores = scores.T
+        live = ((anchor_norms >= _NORM_FLOOR)[:, None]
+                & (pool_norms >= _NORM_FLOOR)[None, :])
+        np.divide(scores, np.outer(anchor_norms, pool_norms), out=scores, where=live)
+        scores[~live] = 0.0
 
+        kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1]
+        cand_anchor, cand_col = np.nonzero(scores >= (kth - _TIE_BAND)[:, None])
+        cand_rows = self._gather(older, starts, cand_col)
+        dots = np.einsum("ij,ij->i", cand_rows, flat_anchors[cand_anchor])
+        exact = np.zeros(len(cand_col))
+        np.divide(dots, anchor_norms[cand_anchor] * pool_norms[cand_col], out=exact,
+                  where=live[cand_anchor, cand_col])
+
+        iters = np.repeat([it for it, _ in older], sizes)
+        samples = np.arange(pool_size) - np.repeat(starts, sizes)
+        # lexsort: last key is primary -> anchor, then -score, iteration, sample
+        order = np.lexsort((samples[cand_col], iters[cand_col], -exact, cand_anchor))
+        counts = np.bincount(cand_anchor, minlength=b)
+        first = np.cumsum(counts) - counts
+        chosen = order[(first[:, None] + np.arange(k)).ravel()]
+        chosen_iters = iters[cand_col[chosen]]
         return SampledGradients(
             recent=anchors.copy(),
-            sampled=np.stack(chosen_rows),
-            ages=np.array(chosen_ages, dtype=np.int64),
-            selected_keys=chosen_keys,
+            sampled=cand_rows[chosen].reshape(-1, self.channels, self.spatial),
+            ages=(newest_iter - chosen_iters + 1).astype(np.int64),
+            selected_keys=list(zip(chosen_iters.tolist(),
+                                   samples[cand_col[chosen]].tolist())),
         )
+
+    def _gather(self, older: list[tuple[int, np.ndarray]], starts: np.ndarray,
+                cols: np.ndarray) -> np.ndarray:
+        """Flattened pool rows at the given pool columns, in column order."""
+        owner = np.searchsorted(starts, cols, side="right") - 1
+        out = np.empty((len(cols), self.channels * self.spatial))
+        for e, ((_, g), start) in enumerate(zip(older, starts)):
+            hit = owner == e
+            out[hit] = g.reshape(g.shape[0], -1)[cols[hit] - start]
+        return out
 
     def snapshot(self) -> list[tuple[int, np.ndarray]]:
         """Copy of the queue contents, oldest first, for checkpointing."""
@@ -175,6 +223,7 @@ class GradientBank:
 
     def restore(self, entries: list[tuple[int, np.ndarray]]) -> None:
         self.entries.clear()
+        self._row_norms.clear()
         for it, g in entries:
             self.push(it, g)
 

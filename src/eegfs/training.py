@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor, ValidationError
-from .bank import AlphaWeights, GradientBank
+from .bank import AlphaWeights, GradientBank, NonFiniteGradientError
 from .data import Dataset, ParseError
 from .encoder import Encoder, EncoderConfig
 from .metrics import MetricsReport, report
@@ -34,10 +34,11 @@ _ACTIVATION_NAMES = {0.0: "softmax", 1.0: "sigmoid"}
 
 
 class DivergenceError(RuntimeError):
-    """Loss became non-finite; carries the failing iteration index."""
+    """Loss or captured gradient became non-finite; carries the failing
+    iteration index."""
 
-    def __init__(self, iteration: int, value: float):
-        super().__init__(f"non-finite loss ({value}) at iteration {iteration}")
+    def __init__(self, iteration: int, value: float, what: str = "loss"):
+        super().__init__(f"non-finite {what} ({value}) at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -221,7 +222,7 @@ def save(ckpt: Checkpoint, path) -> None:
         f.write(struct.pack("<H", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(ckpt.tensors)))
         for name in sorted(ckpt.tensors):
-            arr = np.ascontiguousarray(ckpt.tensors[name], dtype=np.float64)
+            arr = np.asarray(ckpt.tensors[name], dtype=np.float64)  # keeps rank 0
             encoded = name.encode("utf-8")
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)
@@ -453,7 +454,11 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
                 raise DivergenceError(iteration, loss_val)
             ad.backward(loss, tape)
             if sel is not None:
-                sel.bank.push(iteration, h_l.grad)
+                try:
+                    sel.bank.push(iteration, h_l.grad)
+                except NonFiniteGradientError as e:
+                    raise DivergenceError(iteration, e.sq_norm,
+                                          "captured-gradient squared norm") from e
                 if sel.current_alpha is not None and traj is not None:
                     traj.update(sel.current_alpha.alpha.tobytes())
             adam_step(enc.params, {k: p.grad for k, p in enc.params.items()},

@@ -6,7 +6,7 @@ formulas, sharing no code with the package under test.
 
 import numpy as np
 
-from eegfs.autodiff import Tape, Tensor, backward
+from eegfs.autodiff import DimensionError, Tape, Tensor, backward
 
 
 def matmul_loops(a, b):
@@ -102,6 +102,23 @@ def auroc_pair_count(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def cosine_sim(g1, g2):
+    """Cosine similarity of two equal-shape gradients, flattened.
+
+    Returns 0 when either norm is below 1e-12, so degenerate gradients
+    never outrank informative ones.
+    """
+    a = np.asarray(g1, dtype=np.float64).ravel()
+    b = np.asarray(g2, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise DimensionError(f"cosine_sim: shapes {g1.shape} and {g2.shape} differ")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < 1e-12 or nb < 1e-12:
+        return 0.0
+    return float(a @ b / (na * nb))
 
 
 def top_k_sort_all(anchor, candidates, k):

@@ -12,7 +12,7 @@ import pytest
 
 from eegfs import autodiff as ad
 from eegfs.autodiff import BatchNormState, Tape, Tensor, backward
-from eegfs.bank import GradientBank, apply_decay, compute_alpha, cosine_sim
+from eegfs.bank import GradientBank, apply_decay, compute_alpha
 from eegfs.cli import main as cli_main
 from eegfs.data import CorpusSpec, generate, read, split, write
 from eegfs.encoder import Encoder, EncoderConfig

@@ -1,5 +1,5 @@
-"""Gradient bank tests: FIFO law, cosine selection vs a sort-all oracle,
-decay and blend identities."""
+"""Gradient bank tests: FIFO law, cosine selection vs a sort-all oracle
+(also at the production shape), decay and blend identities."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,12 @@ from eegfs.bank import (
     AlphaWeights,
     BankUsageError,
     GradientBank,
+    NonFiniteGradientError,
     WarmupError,
     apply_decay,
     compute_alpha,
-    cosine_sim,
 )
-from _oracles import top_k_sort_all
+from _oracles import cosine_sim, top_k_sort_all
 
 
 def _bank(q=2, k=1, decay=0.5, channels=2, spatial=3):
@@ -58,6 +58,21 @@ class TestPush:
                 bank.push(j, _rand_entry(rng))
                 pushed.append(j)
             assert [it for it, _ in bank.entries] == pushed[-(q + 1):]
+
+    def test_non_finite_gradients_rejected(self):
+        rng = np.random.default_rng(22)
+        bank = _bank()
+        bank.push(1, _rand_entry(rng))
+        held = [(it, g.copy()) for it, g in bank.entries]
+        for bad in (np.nan, np.inf, -np.inf):
+            g = _rand_entry(rng)
+            g[1, 0, 2] = bad
+            with pytest.raises(NonFiniteGradientError) as e:
+                bank.push(2, g)
+            assert e.value.iteration == 2
+            assert [it for it, _ in bank.entries] == [it for it, _ in held]
+            for (_, got), (_, want) in zip(bank.entries, held):
+                np.testing.assert_array_equal(got, want)
 
     def test_is_full(self):
         rng = np.random.default_rng(3)
@@ -287,3 +302,113 @@ class TestVariableBatch:
         assert s.sampled.shape == (2 * 2, 2, 3)
         a = compute_alpha(apply_decay(s, 0.5), 0.2)
         assert a.alpha.shape == (2,)
+
+
+# Production shape: the encoder's default insertion site and batch size.
+_C, _S, _B, _Q = 32, 122, 64, 8
+
+
+def _production_bank(k, b=_B, partial=48, seed=40):
+    """A full bank after FIFO eviction, with one partial entry, duplicate
+    rows planted across and within entries, a zero-norm pool row and a
+    zero-norm anchor.
+
+    Returns the bank, the next entry to push, and the expected first key of
+    each anchor that was built from a duplicated row.
+    """
+    rng = np.random.default_rng(seed)
+    bank = GradientBank(capacity=_Q, top_k=k, decay=0.25, channels=_C, spatial=_S)
+    entries = {}
+    for j in range(1, _Q + 6):  # iterations 1-4 are evicted
+        entries[j] = rng.standard_normal((partial if j == 9 else b, _C, _S))
+    dup = entries[6][b - 3].copy()
+    entries[9][partial - 1] = dup          # later iteration, lower in the pool
+    entries[11][1] = dup
+    twin = entries[10][b - 1].copy()
+    entries[10][2] = twin                  # same entry, earlier sample
+    entries[12][0] = twin
+    entries[8][5] = 0.0                    # zero-norm pool row
+    anchors = entries[_Q + 5]
+    anchors[0] = dup + 1e-3 * rng.standard_normal((_C, _S))
+    anchors[1] = twin + 1e-3 * rng.standard_normal((_C, _S))
+    anchors[2] = 0.0                       # zero-norm anchor
+    for j in sorted(entries):
+        bank.push(j, entries[j])
+    following = rng.standard_normal((b, _C, _S))
+    return bank, following, {0: (6, b - 3), 1: (10, 2), 2: (5, 0)}
+
+
+def _check_against_oracle(bank, s):
+    newest, anchors = bank.entries[-1]
+    pool = {(it, si): g[si] for it, g in list(bank.entries)[:-1]
+            for si in range(g.shape[0])}
+    candidates = [(it, si, row) for (it, si), row in pool.items()]
+    k = bank.top_k
+    assert s.sampled.shape == (anchors.shape[0] * k, _C, _S)
+    for i in range(anchors.shape[0]):
+        assert s.selected_keys[i * k:(i + 1) * k] == top_k_sort_all(
+            anchors[i], candidates, k)
+    for n, key in enumerate(s.selected_keys):
+        assert s.ages[n] == newest - key[0] + 1
+        np.testing.assert_array_equal(s.sampled[n], pool[key])
+    np.testing.assert_array_equal(s.recent, anchors)
+
+
+class TestProductionShape:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_oracle_with_ties_and_zero_norms(self, k):
+        bank, _, first = _production_bank(k)
+        assert [it for it, _ in bank.entries] == list(range(5, 14))
+        s = bank.sample_top_k()
+        _check_against_oracle(bank, s)
+        for anchor, key in first.items():
+            assert s.selected_keys[anchor * k] == key
+
+    def test_duplicate_in_tiny_entry_ties_to_lower_key(self):
+        # OpenBLAS scores a row of a GEMM over a few rows with a different
+        # rounding than the same row inside a 64-row GEMM
+        rng = np.random.default_rng(41)
+        bank = GradientBank(capacity=2, top_k=1, decay=0.25, channels=_C, spatial=_S)
+        tiny = rng.standard_normal((3, _C, _S))
+        full = rng.standard_normal((_B, _C, _S))
+        tiny[2] = full[40]
+        full[7] = full[40]
+        bank.push(1, tiny)
+        bank.push(2, full)
+        bank.push(3, full[40] + 1e-2 * rng.standard_normal((_B, _C, _S)))
+        s = bank.sample_top_k()
+        assert s.selected_keys == [(1, 2)] * _B
+        _check_against_oracle(bank, s)
+
+    def test_k_equal_to_pool_size(self):
+        # b=64 would make the (b * pool) sampled rows take about 1 GB
+        b = 8
+        pool = (_Q - 1) * b + 6
+        bank, _, _ = _production_bank(pool, b=b, partial=6)
+        s = bank.sample_top_k()
+        _check_against_oracle(bank, s)
+        for i in range(b):
+            assert len(set(s.selected_keys[i * pool:(i + 1) * pool])) == pool
+
+    def test_restore_of_snapshot_samples_identically(self):
+        bank, following, _ = _production_bank(3)
+        bank.sample_top_k()  # fills the norm cache of the original only
+        twin = GradientBank(capacity=_Q, top_k=3, decay=0.25, channels=_C, spatial=_S)
+        twin.restore(bank.snapshot())
+        bank.push(14, following)
+        twin.push(14, following)
+        a, b = bank.sample_top_k(), twin.sample_top_k()
+        assert a.selected_keys == b.selected_keys
+        np.testing.assert_array_equal(a.ages, b.ages)
+        np.testing.assert_array_equal(a.sampled, b.sampled)
+        np.testing.assert_array_equal(a.recent, b.recent)
+
+    def test_caller_changes_after_push_do_not_reach_the_bank(self):
+        bank, following, _ = _production_bank(1)
+        kept = following.copy()
+        bank.push(14, following)
+        following[:] = 0.0
+        assert [it for it, _ in bank.entries] == list(range(6, 15))
+        np.testing.assert_array_equal(bank.entries[-1][1], kept)
+        after = bank.sample_top_k()
+        _check_against_oracle(bank, after)

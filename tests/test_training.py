@@ -4,8 +4,9 @@ bookkeeping, determinism, checkpoint round trips, resume equivalence."""
 import numpy as np
 import pytest
 
+from eegfs.bank import NonFiniteGradientError
 from eegfs.data import CorpusSpec, ParseError, generate, split
-from eegfs.encoder import EncoderConfig
+from eegfs.encoder import Encoder, EncoderConfig
 from eegfs.selection import ConfigurationError
 from eegfs.training import (
     AdamMoments,
@@ -170,6 +171,31 @@ class TestTrainLoop:
             train(cfg, tr, va)
         assert e.value.iteration >= 1
 
+    def test_non_finite_captured_gradient_reports_iteration(self, tiny_splits,
+                                                            monkeypatch):
+        class PoisonedGrad:
+            def __init__(self, h_l):
+                self.h_l = h_l
+
+            @property
+            def grad(self):
+                g = self.h_l.grad.copy()
+                g[0, 0, 0] = np.nan
+                return g
+
+        real_forward = Encoder.forward
+
+        def forward(self, x, fs=None, mode="train"):
+            logits, h_l = real_forward(self, x, fs=fs, mode=mode)
+            return logits, PoisonedGrad(h_l)
+
+        monkeypatch.setattr(Encoder, "forward", forward)
+        tr, va, _ = tiny_splits
+        with pytest.raises(DivergenceError, match="gradient") as e:
+            train(_tiny_config(), tr, va)
+        assert e.value.iteration == 1
+        assert isinstance(e.value.__cause__, NonFiniteGradientError)
+
 
 class TestEvaluate:
     def test_evaluate_twice_identical(self, tiny_splits):
@@ -210,6 +236,31 @@ class TestCheckpointIO:
         assert p1.read_bytes() == p2.read_bytes()
         for k in result.final.tensors:
             np.testing.assert_array_equal(loaded.tensors[k], result.final.tensors[k])
+
+    def test_round_trip_keeps_every_shape(self, tiny_splits, tmp_path):
+        tr, va, _ = tiny_splits
+        result = train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va)
+        p = tmp_path / "ck.bin"
+        save(result.final, p)
+        loaded = load(p)
+        assert ({k: v.shape for k, v in loaded.tensors.items()}
+                == {k: np.shape(v) for k, v in result.final.tensors.items()})
+        assert loaded.tensors["adam/t"].shape == ()
+
+    def test_rank_one_scalars_still_load(self, tiny_splits, tmp_path):
+        # older files stored every scalar with shape (1,)
+        tr, va, te = tiny_splits
+        cfg = _tiny_config(epochs=2, batch_size=8, bank_size=2)
+        result = train(cfg, tr, va)
+        old = Checkpoint({k: v.reshape(1) if np.ndim(v) == 0 else v
+                          for k, v in result.final.tensors.items()})
+        p = tmp_path / "old.bin"
+        save(old, p)
+        loaded = load(p)
+        assert loaded.tensors["adam/t"].shape == (1,)
+        assert loaded.config() == cfg
+        assert loaded.epoch == result.final.epoch
+        assert evaluate(loaded, te) == evaluate(result.final, te)
 
     def test_config_echo_round_trip(self, tiny_splits):
         tr, va, _ = tiny_splits

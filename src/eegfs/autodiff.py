@@ -8,10 +8,22 @@ per-sample feature-map gradients out of a training step).
 
 Broadcasting is restricted to numpy-compatible shapes; gradients of
 broadcast operands are summed back to the operand's shape.
+
+The network kernels are written around few passes over memory. ``conv1d``
+lowers to one GEMM per direction over a channel-major im2col matrix of
+shape (Cin*k, B*T_out). ``batchnorm`` centres its input once and reuses the
+centred copy for the variance and the normalized output; its backward
+reuses the two channel sums it needs for the affine gradients.
+``avg_pool1d`` adds its strided window phases instead of reducing over a
+short inner axis.
+
+A tensor refers to the tape that registered it weakly, so a tape is freed
+as soon as its owner drops it, without waiting for the cyclic collector.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -39,9 +51,14 @@ class Tensor:
     for the lifetime of the tensor. ``grad`` is populated by :func:`backward`
     for tensors with ``requires_grad`` and for captured nodes, and is
     overwritten (not accumulated) by each backward call.
+
+    ``tape`` is the tape that last registered the tensor, or None once that
+    tape is gone: the tensor refers to it weakly, because the tape holds
+    its tensors and a strong back-reference would make every tape a
+    reference cycle that only the cyclic garbage collector frees.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "node_id", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -51,7 +68,15 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.node_id: Optional[int] = None
-        self.tape: Optional[Tape] = None
+        self._tape: Optional[weakref.ref] = None
+
+    @property
+    def tape(self) -> Optional["Tape"]:
+        return None if self._tape is None else self._tape()
+
+    @tape.setter
+    def tape(self, tape: Optional["Tape"]) -> None:
+        self._tape = None if tape is None else weakref.ref(tape)
 
     @property
     def shape(self) -> tuple:
@@ -377,6 +402,13 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     Output length is floor((T + 2*padding - k) / stride) + 1. No kernel
     flip; differentiable in both x and w.
+
+    The input is lowered to a channel-major im2col matrix ``cols`` of shape
+    (Cin*k, B*T_out), built with one strided copy per kernel offset from
+    the (Cin, B, T) view of the input. Forward is the GEMM ``w2 @ cols``
+    with ``w2`` the (Cout, Cin*k) kernel matrix; backward is ``g2 @ cols.T``
+    for the kernel and ``w2.T @ g2`` for the columns, which are scatter-added
+    back one offset at a time as contiguous row slabs.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -391,22 +423,30 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     if k > t_pad:
         raise DimensionError(f"conv1d: kernel {k} larger than padded input {t_pad}")
     t_out = (t_pad - k) // stride + 1
+    span = stride * (t_out - 1) + 1  # input positions one kernel offset reads
 
-    xp = x.data if padding == 0 else np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    # im2col: windows (B, Cin, T_out, k) -> (B*T_out, Cin*k), one GEMM.
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(batch * t_out, c_in * k)
+    # Channel-major im2col: cols[ci, kk, b, t] = xp[b, ci, t*stride + kk], so
+    # rows follow w's (Cin, k) layout and each offset is one strided copy.
+    xt = x.data.transpose(1, 0, 2)  # (Cin, B, T) view
+    if padding:
+        xp = np.zeros((c_in, batch, t_pad))
+        xp[:, :, padding:padding + t_len] = xt
+        xt = xp
+    cols = np.empty((c_in, k, batch, t_out))
+    for kk in range(k):
+        cols[:, kk] = xt[:, :, kk:kk + span:stride]
+    cols = cols.reshape(c_in * k, batch * t_out)
     w2 = w.data.reshape(c_out, c_in * k)
-    out = Tensor((cols @ w2.T).reshape(batch, t_out, c_out).transpose(0, 2, 1))
+    out = Tensor((w2 @ cols).reshape(c_out, batch, t_out).transpose(1, 0, 2))
 
     def rule(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(batch * t_out, c_out)
-        gw = (g2.T @ cols).reshape(c_out, c_in, k)
-        gcols = (g2 @ w2).reshape(batch, t_out, c_in, k).transpose(0, 2, 1, 3)
-        gxp = np.zeros((batch, c_in, t_pad))
+        g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, batch * t_out)
+        gw = (g2 @ cols.T).reshape(c_out, c_in, k)
+        gcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
+        gxp = np.zeros((c_in, batch, t_pad))
         for kk in range(k):  # windows overlap, so scatter-add per offset
-            gxp[:, :, kk:kk + stride * t_out:stride] += gcols[:, :, :, kk]
-        gx = gxp if padding == 0 else gxp[:, :, padding:t_pad - padding]
+            gxp[:, :, kk:kk + span:stride] += gcols[:, kk]
+        gx = np.ascontiguousarray(gxp[:, :, padding:padding + t_len].transpose(1, 0, 2))
         return (gx, gw)
 
     return _record(out, (x, w), rule)
@@ -419,16 +459,23 @@ def avg_pool1d(x: Tensor, pool_len: int) -> Tensor:
         raise DimensionError(f"avg_pool1d: need (B,C,T), got {x.shape}")
     if pool_len < 1:
         raise ValidationError(f"avg_pool1d: pool_len {pool_len} must be >= 1")
-    batch, chans, t_len = x.shape
+    t_len = x.shape[2]
     t_out = t_len // pool_len
     if t_out < 1:
         raise DimensionError(f"avg_pool1d: pool {pool_len} larger than input length {t_len}")
-    trimmed = x.data[:, :, :t_out * pool_len].reshape(batch, chans, t_out, pool_len)
-    out = Tensor(trimmed.mean(axis=3))
+    span = t_out * pool_len
+    # Sum the pool_len strided phases left to right, then divide. Below 8
+    # terms numpy's mean sums each window in this order too, so the result
+    # matches a per-window mean bit for bit; longer windows agree to rounding.
+    acc = x.data[:, :, 0:span:pool_len].copy()
+    for j in range(1, pool_len):
+        acc += x.data[:, :, j:span:pool_len]
+    acc /= pool_len
+    out = Tensor(acc)
 
     def rule(g):
         gx = np.zeros_like(x.data)
-        gx[:, :, :t_out * pool_len] = np.repeat(g / pool_len, pool_len, axis=2)
+        gx[:, :, :span] = np.repeat(g / pool_len, pool_len, axis=2)
         return (gx,)
 
     return _record(out, (x,), rule)
@@ -458,6 +505,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     running statistics in place by exponential moving average; eval mode
     normalizes with the running statistics. Biased variance is used both
     for normalization and for the running update.
+
+    Train mode centres the input once, takes the variance as the mean of
+    the squared centred values and scales the centred copy in place into
+    x_hat. Backward forms the two channel sums sum(g) and sum(g * x_hat),
+    which are the beta and gamma gradients, and builds the input gradient
+    gamma * inv_std * (g - sum(g)/n - x_hat * sum(g * x_hat)/n) from them.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.data.ndim != 3:
@@ -471,31 +524,34 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if eps <= 0:
         raise ValidationError(f"batchnorm: eps must be > 0, got {eps}")
 
+    n = x.shape[0] * x.shape[2]
     if mode == "train":
         mu = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        xhat = x.data - mu[:, None]  # centred once; scaled into xhat below
+        var = np.einsum("bcs,bcs->c", xhat, xhat) / n
         state.mean = (1.0 - momentum_bn) * state.mean + momentum_bn * mu
         state.var = (1.0 - momentum_bn) * state.var + momentum_bn * var
     else:
-        mu = state.mean
+        xhat = x.data - state.mean[:, None]
         var = state.var
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[:, None]) * inv_std[:, None]
-    out = Tensor(xhat * gamma.data[:, None] + beta.data[:, None])
+    xhat *= inv_std[:, None]
+    y = xhat * gamma.data[:, None]
+    y += beta.data[:, None]
+    out = Tensor(y)
 
     def rule(g):
         gbeta = g.sum(axis=(0, 2))
-        ggamma = (g * xhat).sum(axis=(0, 2))
+        ggamma = np.einsum("bcs,bcs->c", g, xhat)
+        scale = (gamma.data * inv_std)[:, None]
         if mode == "eval":
-            gx = g * (gamma.data * inv_std)[:, None]
-        else:
-            gy = g * gamma.data[:, None]
-            gx = inv_std[:, None] * (
-                gy
-                - gy.mean(axis=(0, 2), keepdims=True)
-                - xhat * (gy * xhat).mean(axis=(0, 2), keepdims=True)
-            )
+            return (g * scale, ggamma, gbeta)
+        # gamma*inv_std * (g - mean(g) - xhat*mean(g*xhat)), built in place
+        gx = xhat * (ggamma / -n)[:, None]
+        gx += g
+        gx -= (gbeta / n)[:, None]
+        gx *= scale
         return (gx, ggamma, gbeta)
 
     return _record(out, (x, gamma, beta), rule)

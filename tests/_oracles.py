@@ -43,6 +43,78 @@ def conv1d_loops(x, w, stride=1, padding=0):
     return out
 
 
+def _offset_window(arr, kk, stride, t_out):
+    """arr[..., kk + t*stride] for t in range(t_out)."""
+    return arr[:, :, kk:kk + stride * (t_out - 1) + 1:stride]
+
+
+def conv1d_offsets(x, w, stride=1, padding=0):
+    """Cross-correlation summed one kernel offset at a time with einsum."""
+    bsz, c_in, t_len = x.shape
+    c_out, _, k = w.shape
+    xp = np.zeros((bsz, c_in, t_len + 2 * padding))
+    xp[:, :, padding:padding + t_len] = x
+    t_out = (t_len + 2 * padding - k) // stride + 1
+    out = np.zeros((bsz, c_out, t_out))
+    for kk in range(k):
+        out += np.einsum("bit,oi->bot", _offset_window(xp, kk, stride, t_out), w[:, :, kk])
+    return out
+
+
+def conv1d_vjp_offsets(x, w, g, stride=1, padding=0):
+    """(gx, gw) of sum(g * conv1d(x, w)), one kernel offset at a time."""
+    bsz, c_in, t_len = x.shape
+    c_out, _, k = w.shape
+    xp = np.zeros((bsz, c_in, t_len + 2 * padding))
+    xp[:, :, padding:padding + t_len] = x
+    t_out = g.shape[2]
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for kk in range(k):
+        gw[:, :, kk] = np.einsum("bot,bit->oi", g, _offset_window(xp, kk, stride, t_out))
+        _offset_window(gxp, kk, stride, t_out)[...] += np.einsum("bot,oi->bit", g, w[:, :, kk])
+    return gxp[:, :, padding:padding + t_len], gw
+
+
+def conv1d_vjp_basis(x, w, g, stride=1, padding=0):
+    """(gx, gw) of the bilinear sum(g * conv1d_loops(x, w)), one input
+    element at a time: the derivative along a basis vector e is the value
+    at e, because the map is linear in each argument."""
+    def along(shape, value_at):
+        out = np.zeros(shape)
+        for idx in np.ndindex(*shape):
+            e = np.zeros(shape)
+            e[idx] = 1.0
+            out[idx] = value_at(e)
+        return out
+
+    gx = along(x.shape, lambda e: (g * conv1d_loops(e, w, stride, padding)).sum())
+    gw = along(w.shape, lambda e: (g * conv1d_loops(x, e, stride, padding)).sum())
+    return gx, gw
+
+
+def batchnorm_train_vjp(x, gamma, g, eps):
+    """Textbook train-mode batch-norm backward (Ioffe & Szegedy 2015, the
+    chain rule through the batch mean and variance), channel by channel.
+    Returns (gx, ggamma, gbeta)."""
+    gx = np.zeros_like(x)
+    ggamma = np.zeros(x.shape[1])
+    gbeta = np.zeros(x.shape[1])
+    for c in range(x.shape[1]):
+        xc, gc = x[:, c, :], g[:, c, :]
+        m = xc.size
+        mu = xc.sum() / m
+        var = ((xc - mu) ** 2).sum() / m
+        xhat = (xc - mu) / np.sqrt(var + eps)
+        dxhat = gc * gamma[c]
+        dvar = (dxhat * (xc - mu)).sum() * -0.5 * (var + eps) ** -1.5
+        dmu = (-dxhat / np.sqrt(var + eps)).sum() + dvar * (-2.0 * (xc - mu)).sum() / m
+        gx[:, c, :] = dxhat / np.sqrt(var + eps) + dvar * 2.0 * (xc - mu) / m + dmu / m
+        ggamma[c] = (gc * xhat).sum()
+        gbeta[c] = gc.sum()
+    return gx, ggamma, gbeta
+
+
 def batchnorm_formula(x, gamma, beta, mean, var, eps):
     """(x - mu) / sqrt(var + eps) * gamma + beta, per channel of (B,C,S)."""
     out = np.zeros_like(x)

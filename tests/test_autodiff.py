@@ -32,8 +32,12 @@ from eegfs.autodiff import (
 )
 from _oracles import (
     batchnorm_formula,
+    batchnorm_train_vjp,
     check_gradients,
     conv1d_loops,
+    conv1d_offsets,
+    conv1d_vjp_basis,
+    conv1d_vjp_offsets,
     cross_entropy_per_sample,
     matmul_loops,
     mean_loops,
@@ -61,6 +65,30 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+
+PRODUCTION_CONVS = [((64, 16, 250), (32, 16, 7)), ((64, 32, 122), (64, 32, 5))]
+
+
+def _rel_err(got, want):
+    assert got.shape == want.shape
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _vjp(op, arrays, g):
+    """Output and gradients of sum(g * op(*tensors)) through the tape."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    tape = Tape()
+    with tape:
+        out = op(*tensors)
+        loss = sum_over_axes(mul(out, Tensor(g)), range(out.data.ndim))
+    backward(loss, tape)
+    return out, [t.grad for t in tensors]
+
+
+def _conv_vjp(x, w, g, stride, padding):
+    _, grads = _vjp(lambda a, b: conv1d(a, b, stride=stride, padding=padding), [x, w], g)
+    return grads
 
 
 class TestConv1d:
@@ -99,6 +127,34 @@ class TestConv1d:
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             conv1d(Tensor(np.zeros((1, 2, 8))), Tensor(np.zeros((1, 3, 3))))
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 2), (2, 1), (3, 2), (4, 0)])
+    def test_offset_oracles_against_loops(self, stride, padding):
+        rng = np.random.default_rng(40 + stride)
+        x = rng.standard_normal((2, 3, 11))
+        w = rng.standard_normal((2, 3, 4))
+        want = conv1d_loops(x, w, stride, padding)
+        assert np.abs(conv1d_offsets(x, w, stride, padding) - want).max() < 1e-12
+        g = rng.standard_normal(want.shape)
+        basis = conv1d_vjp_basis(x, w, g, stride, padding)
+        for grads in (_conv_vjp(x, w, g, stride, padding),
+                      conv1d_vjp_offsets(x, w, g, stride, padding)):
+            for got, oracle in zip(grads, basis):
+                assert np.abs(got - oracle).max() < 1e-12
+
+    @pytest.mark.parametrize("x_shape,w_shape", PRODUCTION_CONVS)
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
+    def test_production_shapes_against_offset_oracle(self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(x_shape[1] + stride)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_shape)
+        out = conv1d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        assert _rel_err(out.data, conv1d_offsets(x, w, stride, padding)) < 1e-12
+        g = rng.standard_normal(out.shape)
+        gx, gw = _conv_vjp(x, w, g, stride, padding)
+        want_gx, want_gw = conv1d_vjp_offsets(x, w, g, stride, padding)
+        assert _rel_err(gx, want_gx) < 1e-12
+        assert _rel_err(gw, want_gw) < 1e-12
 
 
 class TestBatchNorm:
@@ -150,6 +206,18 @@ class TestBatchNorm:
                   state, "train", momentum_bn=0.1)
         np.testing.assert_allclose(state.mean, 0.1 * x.mean(axis=(0, 2)), atol=1e-14)
         np.testing.assert_allclose(state.var, 0.9 + 0.1 * x.var(axis=(0, 2)), atol=1e-14)
+
+    def test_train_vjp_against_textbook_formula(self):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((64, 32, 244)) * 3 + 1
+        gamma = rng.uniform(0.5, 1.5, 32)
+        beta = rng.standard_normal(32)
+        g = rng.standard_normal(x.shape)
+        eps = 1e-5
+        _, grads = _vjp(lambda a, b, c: batchnorm(a, b, c, BatchNormState(32), "train", eps=eps),
+                        [x, gamma, beta], g)
+        for got, want in zip(grads, batchnorm_train_vjp(x, gamma, g, eps)):
+            assert _rel_err(got, want) < 1e-12
 
     def test_train_output_has_zero_batch_mean(self):
         rng = np.random.default_rng(9)
@@ -208,6 +276,21 @@ class TestElementwise:
         x = np.arange(7, dtype=float).reshape(1, 1, 7)
         out = avg_pool1d(Tensor(x), 2)
         np.testing.assert_array_equal(out.data, [[[0.5, 2.5, 4.5]]])
+
+    @pytest.mark.parametrize("shape", [(5, 3, 23), (64, 32, 244)])
+    @pytest.mark.parametrize("pool_len", [2, 3, 5])
+    def test_avg_pool_equals_window_mean_exactly(self, shape, pool_len):
+        rng = np.random.default_rng(pool_len)
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        t_out = shape[2] // pool_len
+        want = x[..., :t_out * pool_len].reshape(*shape[:2], t_out, pool_len).mean(-1)
+        np.testing.assert_array_equal(avg_pool1d(Tensor(x), pool_len).data, want)
+
+    def test_avg_pool_long_window_within_rounding(self):
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((4, 3, 70))
+        want = x[..., :64].reshape(4, 3, 4, 16).mean(-1)
+        np.testing.assert_allclose(avg_pool1d(Tensor(x), 16).data, want, rtol=0, atol=1e-15)
 
 
 class TestCrossEntropy:
@@ -293,6 +376,13 @@ def _away_from_zero(rng, shape, margin=0.1):
     return x + np.sign(x) * margin
 
 
+def _running_stats():
+    state = BatchNormState(3)
+    state.mean = np.array([0.5, -1.0, 0.0])
+    state.var = np.array([2.0, 0.3, 1.0])
+    return state
+
+
 # Each entry: (name, builder over input tensors, input generator).
 GRAD_CASES = [
     ("add_same", lambda ts: sum_over_axes(mul(add(ts[0], ts[1]), ts[1]), (0, 1)),
@@ -334,6 +424,10 @@ GRAD_CASES = [
         mul(batchnorm(ts[0], ts[1], ts[2], BatchNormState(3), "train"), ts[3]), (0, 1, 2)),
      lambda rng: [rng.standard_normal((4, 3, 5)), rng.uniform(0.5, 1.5, 3),
                   rng.standard_normal(3), rng.standard_normal((4, 3, 5))]),
+    ("batchnorm_eval", lambda ts: sum_over_axes(
+        mul(batchnorm(ts[0], ts[1], ts[2], _running_stats(), "eval"), ts[3]), (0, 1, 2)),
+     lambda rng: [rng.standard_normal((4, 3, 5)), rng.uniform(0.5, 1.5, 3),
+                  rng.standard_normal(3), rng.standard_normal((4, 3, 5))]),
     ("cross_entropy", lambda ts: cross_entropy_logits(ts[0], [0, 1, 1]),
      lambda rng: [rng.standard_normal((3, 2)) * 2]),
 ]
@@ -344,3 +438,30 @@ def test_finite_difference_gradients(name, build, gen):
     rng = np.random.default_rng(hash(name) % 2**32)
     for _ in range(3):
         check_gradients(build, gen(rng), rel_tol=1e-6)
+
+
+# Each entry: (name, op over input tensors, input shapes). Production shapes.
+LAYOUT_CASES = [
+    ("conv1d", lambda x, w: conv1d(x, w), [(64, 16, 250), (32, 16, 7)]),
+    ("conv1d_strided_padded", lambda x, w: conv1d(x, w, stride=2, padding=1),
+     [(64, 32, 122), (64, 32, 5)]),
+    ("batchnorm_train", lambda x, g, b: batchnorm(x, g, b, BatchNormState(32), "train"),
+     [(64, 32, 244), (32,), (32,)]),
+    ("batchnorm_eval", lambda x, g, b: batchnorm(x, g, b, BatchNormState(64), "eval"),
+     [(64, 64, 118), (64,), (64,)]),
+    ("avg_pool1d", lambda x: avg_pool1d(x, 2), [(64, 32, 244)]),
+    ("avg_pool1d_remainder", lambda x: avg_pool1d(x, 3), [(64, 64, 118)]),
+]
+
+
+@pytest.mark.parametrize("name,op,shapes", LAYOUT_CASES, ids=[c[0] for c in LAYOUT_CASES])
+def test_output_contiguous_and_gradient_shapes(name, op, shapes):
+    rng = np.random.default_rng(20)
+    arrays = [rng.standard_normal(s) for s in shapes]
+    out = op(*[Tensor(a) for a in arrays])
+    g = rng.standard_normal(out.shape)
+    taped, grads = _vjp(op, arrays, g)
+    assert out.data.flags.c_contiguous and taped.data.flags.c_contiguous
+    np.testing.assert_array_equal(taped.data, out.data)
+    for a, grad in zip(arrays, grads):
+        assert grad.shape == a.shape

@@ -1,13 +1,16 @@
 """Training-loop tests: Adam against a scalar reference, warmup and bank
 bookkeeping, determinism, checkpoint round trips, resume equivalence."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from eegfs.bank import NonFiniteGradientError
+from eegfs.bank import GradientBank, NonFiniteGradientError
 from eegfs.data import CorpusSpec, ParseError, generate, split
 from eegfs.encoder import Encoder, EncoderConfig
-from eegfs.selection import ConfigurationError
+from eegfs.selection import ConfigurationError, FeatureSelector, FsState
 from eegfs.training import (
     AdamMoments,
     Checkpoint,
@@ -22,7 +25,7 @@ from eegfs.training import (
     train,
     write_metrics_csv,
 )
-from eegfs.autodiff import Tensor
+from eegfs.autodiff import Tape, Tensor, backward, cross_entropy_logits
 from _oracles import adam_scalar_reference
 
 
@@ -195,6 +198,46 @@ class TestTrainLoop:
             train(_tiny_config(), tr, va)
         assert e.value.iteration == 1
         assert isinstance(e.value.__cause__, NonFiniteGradientError)
+
+
+class TestTapeLifetime:
+    def test_step_tape_freed_without_cyclic_gc(self, tiny_splits):
+        """A training step's tape is freed by reference counting alone once
+        the step's locals are dropped: tensors refer to their tape weakly."""
+        tr, _, _ = tiny_splits
+        cfg = _tiny_config()
+        enc = Encoder(cfg.encoder, seed=cfg.seed)
+        chans, spat = cfg.encoder.feature_shape()
+        bank = GradientBank(capacity=cfg.bank_size, top_k=cfg.top_k, decay=cfg.decay,
+                            channels=chans, spatial=spat)
+        sel = FeatureSelector(bank, cfg.momentum, FsState(channels=chans))
+        rng = np.random.default_rng(0)
+        for it in range(1, cfg.bank_size + 2):
+            bank.push(it, rng.standard_normal((8, chans, spat)))
+        x = Tensor(np.stack([c.data for c in tr.clips[:8]]))
+        y = np.array([c.label for c in tr.clips[:8]])
+        moments = AdamMoments.zeros_like(enc.params)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = Tape()
+            with tape:
+                logits, h_l = enc.forward(x, fs=sel, mode="train")
+                loss = cross_entropy_logits(logits, y)
+            backward(loss, tape)
+            bank.push(cfg.bank_size + 2, h_l.grad)
+            adam_step(enc.params, {k: p.grad for k, p in enc.params.items()}, moments, cfg)
+            assert sel.current_alpha is not None  # the selection path ran on the tape
+            assert x.tape is tape
+            tape_ref = weakref.ref(tape)
+            del tape, logits, h_l, loss
+            assert tape_ref() is None
+            assert x.tape is None
+            assert all(p.tape is None for p in enc.params.values())
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestEvaluate:

@@ -27,12 +27,9 @@ from .selection import (
     FeatureSelector,
     FsState,
     batch_pool,
-    entropy,
     export_attribution,
     fs_forward,
     heat_map,
-    lambda_weights,
-    probability,
 )
 from .training import (
     Checkpoint,
@@ -42,6 +39,7 @@ from .training import (
     adam_step,
     evaluate,
     load,
+    predict,
     save,
     train,
 )

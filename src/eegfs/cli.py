@@ -4,6 +4,9 @@ sweeps, attribution export.
 Configuration is a flat ``key=value`` text file validated against a
 typed schema; ``--set key=value`` flags override file values. Every run
 directory receives a ``config.resolved`` echo of the effective values.
+The schema's keys, parsers and defaults derive from the fields of
+``CorpusSpec``, ``TrainConfig`` and ``EncoderConfig``; ``_KEYS`` lists
+the fields whose key differs from the field name.
 
 Exit codes: 0 success, 2 validation or configuration error, 3 numeric
 divergence; an ablation sweep with failed cells exits 1.
@@ -15,25 +18,26 @@ import argparse
 import itertools
 import sys
 import traceback
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .autodiff import ValidationError
+from .autodiff import Tensor, ValidationError
 from .data import CorpusSpec, Dataset, ParseError, generate, read, split, write
 from .encoder import ConfigError, EncoderConfig
 from .selection import ConfigurationError, export_attribution, write_attribution_csv
 from .training import (
     DivergenceError,
+    EpochRow,
     TrainConfig,
     load,
+    predict,
     restore_model,
     save,
     train,
     write_metrics_csv,
-    _run_eval,
-    _row,
 )
 
 
@@ -56,61 +60,65 @@ def _parse_blocks(s: str) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(blocks)
 
 
-def _fmt_blocks(blocks) -> str:
-    return ",".join(":".join(str(x) for x in b) for b in blocks)
-
-
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, tuple):
-        return _fmt_blocks(v)
+    if isinstance(v, tuple):  # blocks
+        return ",".join(":".join(str(x) for x in b) for b in v)
     return str(v)
 
 
-# key -> (parser, default)
-SCHEMA = {
-    # corpus
-    "n_clips": (int, 2000),
-    "channels": (int, 16),
-    "timestamps": (int, 250),
-    "sample_rate": (int, 250),
-    "class_balance": (float, 0.5),
-    "noise_sigma": (float, 1.0),
-    "spike_amplitude": (float, 5.0),
-    "spike_width_ms_min": (float, 20.0),
-    "spike_width_ms_max": (float, 60.0),
-    "spike_channel_span": (int, 4),
-    "n_groups": (int, 20),
-    "data_seed": (int, 42),
-    # splitting
-    "train_ratio": (float, 0.6),
-    "val_ratio": (float, 0.2),
-    "test_ratio": (float, 0.2),
-    "split_by_group": (_parse_bool, True),
-    "split_seed": (int, 42),
-    # training
-    "epochs": (int, 200),
-    "batch_size": (int, 64),
-    "lr": (float, 0.0001),
-    "weight_decay": (float, 0.0001),
-    "adam_beta1": (float, 0.9),
-    "adam_beta2": (float, 0.999),
-    "adam_eps": (float, 1e-8),
-    "seed": (int, 42),
-    "q": (int, 8),
-    "K": (int, 1),
-    "m": (float, 0.2),
-    "gamma": (float, 0.25),
-    "fs_enabled": (_parse_bool, True),
-    "insertion_layer": (int, 0),
-    "blocks": (_parse_blocks, ((32, 7, 1, 2), (64, 5, 1, 2))),
-    "activation": (str, "softmax"),
-    "bn_eps": (float, 1e-5),
-    "bn_momentum": (float, 0.1),
+# Dataclass field -> CLI key, where the two differ. Fields are named
+# "corpus.<f>" (CorpusSpec), "enc.<f>" (EncoderConfig) or "<f>" (TrainConfig);
+# a tuple splits a (min, max) field into two keys, None keeps it off the CLI.
+_KEYS = {
+    "bank_size": "q", "top_k": "K", "momentum": "m", "decay": "gamma",
+    "corpus.seed": "data_seed",
+    "corpus.spike_width_ms": ("spike_width_ms_min", "spike_width_ms_max"),
+    "enc.in_channels": "channels", "enc.clip_len": "timestamps",
+    "enc.activation_kind": "activation",
+    "encoder": None, "enc.num_classes": None,
 }
+_SECTIONS = (("corpus.", CorpusSpec), ("", TrainConfig), ("enc.", EncoderConfig))
+
+
+def _field_keys(prefix: str, cls):
+    """(field, CLI key or key pair) for every field of ``cls`` the CLI sets."""
+    for f in fields(cls):
+        key = _KEYS.get(prefix + f.name, f.name)
+        if key is not None:
+            yield f, key
+
+
+def _parser(default):
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_blocks
+    return type(default)
+
+
+def _schema() -> dict:
+    """key -> (parser, default); the split settings have no dataclass."""
+    schema = {
+        "train_ratio": (float, 0.6),
+        "val_ratio": (float, 0.2),
+        "test_ratio": (float, 0.2),
+        "split_by_group": (_parse_bool, True),
+        "split_seed": (int, 42),
+    }
+    for prefix, cls in _SECTIONS:
+        for f, key in _field_keys(prefix, cls):
+            if isinstance(key, tuple):
+                schema.update((k, (_parser(d), d)) for k, d in zip(key, f.default))
+            else:  # a key shared by two fields takes the first field's default
+                schema.setdefault(key, (_parser(f.default), f.default))
+    return schema
+
+
+SCHEMA = _schema()
 
 GRID_KEYS = ("q", "K", "m", "gamma")
 
@@ -164,30 +172,20 @@ def write_resolved(values: dict, out_dir: Path) -> None:
     (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
 
 
+def _from(values: dict, prefix: str, cls, **nested):
+    """A config dataclass built from resolved values."""
+    kwargs = {}
+    for f, key in _field_keys(prefix, cls):
+        kwargs[f.name] = tuple(values[k] for k in key) if isinstance(key, tuple) else values[key]
+    return cls(**kwargs, **nested)
+
+
 def corpus_spec_from(values: dict) -> CorpusSpec:
-    return CorpusSpec(
-        n_clips=values["n_clips"], channels=values["channels"],
-        timestamps=values["timestamps"], sample_rate=values["sample_rate"],
-        class_balance=values["class_balance"], noise_sigma=values["noise_sigma"],
-        spike_amplitude=values["spike_amplitude"],
-        spike_width_ms=(values["spike_width_ms_min"], values["spike_width_ms_max"]),
-        spike_channel_span=values["spike_channel_span"],
-        n_groups=values["n_groups"], seed=values["data_seed"])
+    return _from(values, "corpus.", CorpusSpec)
 
 
 def train_config_from(values: dict) -> TrainConfig:
-    enc = EncoderConfig(
-        in_channels=values["channels"], clip_len=values["timestamps"],
-        blocks=values["blocks"], insertion_layer=values["insertion_layer"],
-        activation_kind=values["activation"], bn_eps=values["bn_eps"],
-        bn_momentum=values["bn_momentum"])
-    return TrainConfig(
-        epochs=values["epochs"], batch_size=values["batch_size"], lr=values["lr"],
-        weight_decay=values["weight_decay"], adam_beta1=values["adam_beta1"],
-        adam_beta2=values["adam_beta2"], adam_eps=values["adam_eps"],
-        seed=values["seed"], bank_size=values["q"], top_k=values["K"],
-        momentum=values["m"], decay=values["gamma"],
-        fs_enabled=values["fs_enabled"], encoder=enc)
+    return _from(values, "", TrainConfig, encoder=_from(values, "enc.", EncoderConfig))
 
 
 def _split_dataset(values: dict, ds: Dataset):
@@ -225,11 +223,8 @@ def _train_into(values: dict, data_path: str, out_dir: Path,
     save(result.best, out_dir / "checkpoint_best.bin")
     rows = list(result.log)
     if te.clips:
-        _, enc, sel = restore_model(result.final)
-        if sel is not None:
-            sel.current_alpha = None
-        test_scores, test_loss = _run_eval(enc, sel, te, config.batch_size)
-        rows.append(_row(config.epochs, "test", test_loss, test_scores))
+        test_scores, test_loss = predict(result.final, te, config.batch_size)
+        rows.append(EpochRow.from_scores(config.epochs, "test", test_loss, test_scores))
     write_metrics_csv(rows, out_dir / "metrics.csv")
     if result.alpha_trajectory_sha256 is not None:
         (out_dir / "alpha_trajectory.txt").write_text(
@@ -330,7 +325,6 @@ def cmd_export_attribution(args) -> int:
         raise CliConfigError(f"clip id {args.clip} not present in {args.data}")
     clip = matches[0]
 
-    from .autodiff import Tensor
     enc.forward(Tensor(clip.data[None, :, :]), fs=sel, mode="eval")
     amap = export_attribution(sel.state, clip, config.encoder.stride_product(),
                               layer=config.encoder.insertion_layer)

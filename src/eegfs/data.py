@@ -25,11 +25,54 @@ FORMAT_VERSION = 1
 
 
 class ParseError(ValueError):
-    """Corrupt or truncated dataset file; carries the failing byte offset."""
+    """Corrupt or truncated corpus or checkpoint file; carries the failing
+    byte offset."""
 
     def __init__(self, offset: int, message: str):
         super().__init__(f"parse error at byte {offset}: {message}")
         self.offset = offset
+
+
+class BinaryReader:
+    """Bounds-checked cursor over a whole binary file (corpus or checkpoint).
+
+    Opening checks the 4-byte magic and the little-endian u16 version
+    (``version_label`` names the version in the error). Every read past
+    the end, undecodable name or unread tail raises ``ParseError`` at the
+    offset where it starts.
+    """
+
+    def __init__(self, path, magic: bytes, version: int, version_label: str):
+        with open(path, "rb") as f:
+            self.raw = memoryview(f.read())
+        self.offset = 0
+        if self.take(4, "magic") != magic:
+            raise ParseError(0, f"bad magic {bytes(self.raw[:4])!r}, expected {magic!r}")
+        (found,) = self.unpack("<H", "version")
+        if found != version:
+            raise ParseError(4, f"unsupported {version_label} {found}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        if self.offset + n > len(self.raw):
+            raise ParseError(self.offset, f"truncated while reading {what}")
+        self.offset += n
+        return self.raw[self.offset - n:self.offset]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def name(self, what: str) -> str:
+        """A u16 length followed by that many UTF-8 bytes."""
+        (n,) = self.unpack("<H", f"{what} length")
+        start = self.offset
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(start, f"{what} is not valid UTF-8") from None
+
+    def finish(self) -> None:
+        if self.offset != len(self.raw):
+            raise ParseError(self.offset, f"{len(self.raw) - self.offset} trailing bytes")
 
 
 @dataclass
@@ -247,35 +290,18 @@ def write(d: Dataset, path) -> None:
 
 
 def read(path) -> Dataset:
-    with open(path, "rb") as f:
-        raw = f.read()
-
-    def take(offset: int, n: int, what: str) -> bytes:
-        if offset + n > len(raw):
-            raise ParseError(offset, f"truncated while reading {what}")
-        return raw[offset:offset + n]
-
-    if take(0, 4, "magic") != MAGIC:
-        raise ParseError(0, f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack("<H", take(4, 2, "version"))
-    if version != FORMAT_VERSION:
-        raise ParseError(4, f"unsupported version {version}")
-    n_clips, channels, timestamps, rate, n_groups = struct.unpack(
-        "<5I", take(6, 20, "header"))
-    offset = 26
+    r = BinaryReader(path, MAGIC, FORMAT_VERSION, "version")
+    n_clips, channels, timestamps, rate, n_groups = r.unpack("<5I", "header")
     payload = channels * timestamps * 4
     clips = []
     for i in range(n_clips):
-        clip_id, group_id, label = struct.unpack("<IIB", take(offset, 9, f"clip {i} header"))
-        offset += 9
+        clip_id, group_id, label = r.unpack("<IIB", f"clip {i} header")
         if label not in (0, 1):
-            raise ParseError(offset - 1, f"clip {i} label {label} not binary")
-        samples = np.frombuffer(take(offset, payload, f"clip {i} samples"), dtype="<f4")
-        offset += payload
+            raise ParseError(r.offset - 1, f"clip {i} label {label} not binary")
+        samples = np.frombuffer(r.take(payload, f"clip {i} samples"), dtype="<f4")
         clips.append(EegClip(
             clip_id=clip_id, group_id=group_id, label=int(label),
             data=samples.astype(np.float64).reshape(channels, timestamps)))
-    if offset != len(raw):
-        raise ParseError(offset, f"{len(raw) - offset} trailing bytes")
+    r.finish()
     return Dataset(channels=channels, timestamps=timestamps, sample_rate=rate,
                    n_groups=n_groups, clips=clips)

@@ -86,55 +86,6 @@ def heat_map(h: Tensor, alpha: np.ndarray, fs: FsState, mode: str) -> Tensor:
                         fs.bn, mode, eps=fs.bn_eps, momentum_bn=fs.bn_momentum)
 
 
-def probability(v: np.ndarray, kind: str) -> np.ndarray:
-    """Channel probabilities of heat-map values: softmax over the channel
-    axis (first axis), or independent per-channel sigmoids."""
-    v = np.asarray(v, dtype=np.float64)
-    if kind == "softmax":
-        e = np.exp(v - v.max(axis=0, keepdims=True))
-        return e / e.sum(axis=0, keepdims=True)
-    if kind == "sigmoid":
-        return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
-    raise ValidationError(f"kind must be softmax|sigmoid, got {kind!r}")
-
-
-def entropy(p: np.ndarray, kind: str) -> float | np.ndarray:
-    """Channel entropy in nats, with 0 log 0 = 0.
-
-    Softmax kind treats the channel axis as one distribution; sigmoid
-    kind sums independent binary entropies over channels. A 1-D input
-    yields a float; a (C, S) input yields per-location entropies (S,).
-    """
-    p = np.asarray(p, dtype=np.float64)
-
-    def xlogx(a):
-        return np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0)
-
-    if kind == "softmax":
-        h = -xlogx(p).sum(axis=0)
-    elif kind == "sigmoid":
-        h = -(xlogx(p) + xlogx(1.0 - p)).sum(axis=0)
-    else:
-        raise ValidationError(f"kind must be softmax|sigmoid, got {kind!r}")
-    return float(h) if p.ndim == 1 else h
-
-
-def lambda_weights(entropies: np.ndarray, eps_h: float = 1e-12) -> np.ndarray:
-    """One minus entropy normalized by its maximum, per location.
-
-    When every entropy is below ``eps_h`` there is no uncertainty signal
-    to normalize by; all locations are kept fully (weights of one).
-    """
-    h = np.asarray(entropies, dtype=np.float64)
-    if (h < 0).any():
-        raise ValidationError("entropies must be nonnegative")
-    hmax = h.max()
-    if hmax < eps_h:
-        return np.ones_like(h)
-    return 1.0 - h / hmax
-
-
 def _entropy_op(p: Tensor, kind: str) -> Tensor:
     """Taped per-location entropy of channel probabilities (C, S) -> (S,)."""
     if kind == "softmax":

@@ -11,8 +11,9 @@ run can be stopped at any epoch boundary and resumed bit-exactly.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor, ValidationError
 from .bank import AlphaWeights, GradientBank, NonFiniteGradientError
-from .data import Dataset, ParseError
+from .data import BinaryReader, Dataset, ParseError
 from .encoder import Encoder, EncoderConfig
 from .metrics import MetricsReport, report
 from .selection import ConfigurationError, FeatureSelector, FsState
@@ -29,8 +30,7 @@ CHECKPOINT_MAGIC = b"IEFS"
 CHECKPOINT_VERSION = 1
 _DTYPE_F64 = 1
 
-_ACTIVATION_CODES = {"softmax": 0.0, "sigmoid": 1.0}
-_ACTIVATION_NAMES = {0.0: "softmax", 1.0: "sigmoid"}
+_ACTIVATIONS = ("softmax", "sigmoid")  # checkpoint code = index
 
 
 class DivergenceError(RuntimeError):
@@ -81,6 +81,13 @@ class EpochRow:
     recall: float
     f1: float
     auroc: Optional[float]
+
+    @classmethod
+    def from_scores(cls, epoch: int, split: str, loss: float,
+                    scores: list[tuple[float, int]]) -> "EpochRow":
+        r = report(scores)
+        return cls(epoch=epoch, split=split, loss=loss, accuracy=r.accuracy,
+                   precision=r.precision, recall=r.recall, f1=r.f1, auroc=r.auroc)
 
 
 def write_metrics_csv(rows: list[EpochRow], path) -> None:
@@ -144,14 +151,46 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 # Checkpoint container
 
 
+def _config_fields(cls, prefix: str):
+    """(field, checkpoint tensor name) for every stored field of a config
+    dataclass; the nested encoder config is stored under its own prefix."""
+    for f in fields(cls):
+        if f.name != "encoder":
+            yield f, prefix + ("activation" if f.name == "activation_kind" else f.name)
+
+
+def _encode(value) -> np.ndarray:
+    if isinstance(value, str):
+        value = _ACTIVATIONS.index(value)
+    return np.asarray(value, dtype=np.float64)
+
+
+def _decode(default, arr: np.ndarray, name: str):
+    """Inverse of ``_encode``, picked by the type of the field's default."""
+    if isinstance(default, tuple):
+        return tuple(tuple(int(x) for x in row) for row in arr)
+    v = float(arr.reshape(()))
+    if isinstance(default, str):
+        if v not in (0.0, 1.0):
+            raise ValidationError(f"checkpoint tensor {name!r}: unknown code {v}")
+        return _ACTIVATIONS[int(v)]
+    return type(default)(v)
+
+
 @dataclass
 class Checkpoint:
     """Named-tensor container; everything (counters included) is float64."""
 
     tensors: dict[str, np.ndarray]
 
+    def tensor(self, name: str) -> np.ndarray:
+        try:
+            return self.tensors[name]
+        except KeyError:
+            raise ValidationError(f"checkpoint lacks tensor {name!r}") from None
+
     def scalar(self, name: str) -> float:
-        return float(self.tensors[name].reshape(()))
+        return float(self.tensor(name).reshape(()))
 
     @property
     def epoch(self) -> int:
@@ -162,57 +201,17 @@ class Checkpoint:
         return self.tensors.get("alpha/frozen")
 
     def config(self) -> TrainConfig:
-        t = self.tensors
-        blocks = tuple(tuple(int(x) for x in row) for row in t["config/enc.blocks"])
-        enc = EncoderConfig(
-            in_channels=int(self.scalar("config/enc.in_channels")),
-            clip_len=int(self.scalar("config/enc.clip_len")),
-            blocks=blocks,
-            insertion_layer=int(self.scalar("config/enc.insertion_layer")),
-            num_classes=int(self.scalar("config/enc.num_classes")),
-            activation_kind=_ACTIVATION_NAMES[self.scalar("config/enc.activation")],
-            bn_eps=self.scalar("config/enc.bn_eps"),
-            bn_momentum=self.scalar("config/enc.bn_momentum"),
-        )
-        return TrainConfig(
-            epochs=int(self.scalar("config/epochs")),
-            batch_size=int(self.scalar("config/batch_size")),
-            lr=self.scalar("config/lr"),
-            weight_decay=self.scalar("config/weight_decay"),
-            adam_beta1=self.scalar("config/adam_beta1"),
-            adam_beta2=self.scalar("config/adam_beta2"),
-            adam_eps=self.scalar("config/adam_eps"),
-            seed=int(self.scalar("config/seed")),
-            bank_size=int(self.scalar("config/bank_size")),
-            top_k=int(self.scalar("config/top_k")),
-            momentum=self.scalar("config/momentum"),
-            decay=self.scalar("config/decay"),
-            fs_enabled=bool(self.scalar("config/fs_enabled")),
-            encoder=enc,
-        )
+        def build(cls, prefix, **nested):
+            return cls(**{f.name: _decode(f.default, self.tensor(name), name)
+                          for f, name in _config_fields(cls, prefix)}, **nested)
+
+        return build(TrainConfig, "config/", encoder=build(EncoderConfig, "config/enc."))
 
 
-def _encode_config(config: TrainConfig) -> dict[str, np.ndarray]:
-    enc = config.encoder
-    out = {
-        "config/epochs": config.epochs, "config/batch_size": config.batch_size,
-        "config/lr": config.lr, "config/weight_decay": config.weight_decay,
-        "config/adam_beta1": config.adam_beta1, "config/adam_beta2": config.adam_beta2,
-        "config/adam_eps": config.adam_eps, "config/seed": config.seed,
-        "config/bank_size": config.bank_size, "config/top_k": config.top_k,
-        "config/momentum": config.momentum, "config/decay": config.decay,
-        "config/fs_enabled": float(config.fs_enabled),
-        "config/enc.in_channels": enc.in_channels,
-        "config/enc.clip_len": enc.clip_len,
-        "config/enc.insertion_layer": enc.insertion_layer,
-        "config/enc.num_classes": enc.num_classes,
-        "config/enc.activation": _ACTIVATION_CODES[enc.activation_kind],
-        "config/enc.bn_eps": enc.bn_eps,
-        "config/enc.bn_momentum": enc.bn_momentum,
-    }
-    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in out.items()}
-    arrays["config/enc.blocks"] = np.asarray(enc.blocks, dtype=np.float64)
-    return arrays
+def _config_tensors(config: TrainConfig) -> dict[str, np.ndarray]:
+    return {name: _encode(getattr(obj, f.name))
+            for obj, prefix in ((config, "config/"), (config.encoder, "config/enc."))
+            for f, name in _config_fields(type(obj), prefix)}
 
 
 def save(ckpt: Checkpoint, path) -> None:
@@ -232,39 +231,18 @@ def save(ckpt: Checkpoint, path) -> None:
 
 
 def load(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        raw = f.read()
-
-    def take(offset: int, n: int, what: str) -> bytes:
-        if offset + n > len(raw):
-            raise ParseError(offset, f"truncated while reading {what}")
-        return raw[offset:offset + n]
-
-    if take(0, 4, "magic") != CHECKPOINT_MAGIC:
-        raise ParseError(0, f"bad magic {raw[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack("<H", take(4, 2, "version"))
-    if version != CHECKPOINT_VERSION:
-        raise ParseError(4, f"unsupported checkpoint version {version}")
-    (count,) = struct.unpack("<I", take(6, 4, "tensor count"))
-    offset = 10
+    r = BinaryReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint version")
+    (count,) = r.unpack("<I", "tensor count")
     tensors: dict[str, np.ndarray] = {}
     for i in range(count):
-        (name_len,) = struct.unpack("<H", take(offset, 2, f"tensor {i} name length"))
-        offset += 2
-        name = take(offset, name_len, f"tensor {i} name").decode("utf-8")
-        offset += name_len
-        dtype, rank = struct.unpack("<BB", take(offset, 2, f"{name} dtype/rank"))
-        offset += 2
+        name = r.name(f"tensor {i} name")
+        dtype, rank = r.unpack("<BB", f"{name} dtype/rank")
         if dtype != _DTYPE_F64:
-            raise ParseError(offset - 2, f"{name}: unknown dtype tag {dtype}")
-        dims = struct.unpack(f"<{rank}I", take(offset, 4 * rank, f"{name} dims"))
-        offset += 4 * rank
-        n_bytes = 8 * int(np.prod(dims)) if rank else 8
-        payload = take(offset, n_bytes, f"{name} payload")
-        offset += n_bytes
+            raise ParseError(r.offset - 2, f"{name}: unknown dtype tag {dtype}")
+        dims = r.unpack(f"<{rank}I", f"{name} dims")
+        payload = r.take(8 * math.prod(dims), f"{name} payload")  # exact, no int64 wrap
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-    if offset != len(raw):
-        raise ParseError(offset, f"{len(raw) - offset} trailing bytes")
+    r.finish()
     return Checkpoint(tensors=tensors)
 
 
@@ -272,7 +250,7 @@ def _build_checkpoint(config: TrainConfig, enc: Encoder,
                       sel: Optional[FeatureSelector], moments: AdamMoments,
                       epoch: int, iteration: int,
                       frozen_alpha: Optional[np.ndarray]) -> Checkpoint:
-    tensors: dict[str, np.ndarray] = dict(_encode_config(config))
+    tensors = _config_tensors(config)
     for name, p in enc.params.items():
         tensors[f"param/{name}"] = p.data.copy()
         tensors[f"adam/m/{name}"] = moments.m[name].copy()
@@ -312,21 +290,21 @@ def restore_model(ckpt: Checkpoint) -> tuple[TrainConfig, Encoder, Optional[Feat
     config = ckpt.config()
     enc = Encoder(config.encoder, seed=config.seed)
     for name, p in enc.params.items():
-        p.data = ckpt.tensors[f"param/{name}"].copy()
+        p.data = ckpt.tensor(f"param/{name}").copy()
     for i, st in enumerate(enc.bn_states):
-        st.mean = ckpt.tensors[f"state/bn.enc.{i}.mean"].copy()
-        st.var = ckpt.tensors[f"state/bn.enc.{i}.var"].copy()
+        st.mean = ckpt.tensor(f"state/bn.enc.{i}.mean").copy()
+        st.var = ckpt.tensor(f"state/bn.enc.{i}.var").copy()
     sel = None
     if config.fs_enabled:
         sel = _make_selector(config)
-        sel.state.bn.mean = ckpt.tensors["state/bn.fs.mean"].copy()
-        sel.state.bn.var = ckpt.tensors["state/bn.fs.var"].copy()
+        sel.state.bn.mean = ckpt.tensor("state/bn.fs.mean").copy()
+        sel.state.bn.var = ckpt.tensor("state/bn.fs.var").copy()
         bank_items = sorted(n for n in ckpt.tensors if n.startswith("bank/")
                             and n.endswith("/iter"))
         entries = []
         for name in bank_items:
             idx = name.split("/")[1]
-            entries.append((int(ckpt.scalar(name)), ckpt.tensors[f"bank/{idx}/grads"]))
+            entries.append((int(ckpt.scalar(name)), ckpt.tensor(f"bank/{idx}/grads")))
         sel.bank.restore(entries)
         if "alpha/current" in ckpt.tensors:
             sel.current_alpha = AlphaWeights(
@@ -368,13 +346,6 @@ def _run_eval(enc: Encoder, sel: Optional[FeatureSelector], ds: Dataset,
         for p, label in zip(_positive_probs(logits.data), y):
             scores.append((float(p), int(label)))
     return scores, loss_sum / len(ds.clips)
-
-
-def _row(epoch: int, split: str, loss: float,
-         scores: list[tuple[float, int]]) -> EpochRow:
-    r = report(scores)
-    return EpochRow(epoch=epoch, split=split, loss=loss, accuracy=r.accuracy,
-                    precision=r.precision, recall=r.recall, f1=r.f1, auroc=r.auroc)
 
 
 @dataclass
@@ -421,8 +392,8 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
             sel = restored_sel
             sel.frozen_alpha = None  # frozen only at the true end of training
         for name in enc.params:
-            moments.m[name] = resume.tensors[f"adam/m/{name}"].copy()
-            moments.v[name] = resume.tensors[f"adam/v/{name}"].copy()
+            moments.m[name] = resume.tensor(f"adam/m/{name}").copy()
+            moments.v[name] = resume.tensor(f"adam/v/{name}").copy()
         moments.t = int(resume.scalar("adam/t"))
         start_epoch = resume.epoch
         iteration = int(resume.scalar("state/iteration"))
@@ -468,9 +439,9 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
             for p, label in zip(_positive_probs(logits.data), y):
                 train_scores.append((float(p), int(label)))
 
-        log.append(_row(epoch, "train", loss_sum / n_seen, train_scores))
+        log.append(EpochRow.from_scores(epoch, "train", loss_sum / n_seen, train_scores))
         val_scores, val_loss = _run_eval(enc, sel, ds_val, config.batch_size)
-        val_row = _row(epoch, "val", val_loss, val_scores)
+        val_row = EpochRow.from_scores(epoch, "val", val_loss, val_scores)
         log.append(val_row)
 
         if val_row.accuracy > best_acc:
@@ -489,14 +460,20 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
                        alpha_trajectory_sha256=traj.hexdigest() if traj else None)
 
 
+def predict(ckpt: Checkpoint, ds: Dataset,
+            batch_size: int = 64) -> tuple[list[tuple[float, int]], float]:
+    """Eval-mode (positive-class probability, label) per clip and the mean
+    loss of a checkpoint's model, using its frozen channel weights only."""
+    _, enc, sel = restore_model(ckpt)
+    if sel is not None:
+        sel.current_alpha = None
+    return _run_eval(enc, sel, ds, batch_size)
+
+
 def evaluate(ckpt: Checkpoint, ds: Dataset, batch_size: int = 64) -> MetricsReport:
     """Eval-mode metrics of a completed checkpoint on a dataset."""
-    config, enc, sel = restore_model(ckpt)
-    if config.fs_enabled and ckpt.frozen_alpha is None:
+    if ckpt.config().fs_enabled and ckpt.frozen_alpha is None:
         raise ConfigurationError(
             "checkpoint has no frozen channel weights; evaluation with the "
             "selection module enabled requires a completed training run")
-    if sel is not None:
-        sel.current_alpha = None  # inference must use the frozen weights only
-    scores, _ = _run_eval(enc, sel, ds, batch_size)
-    return report(scores)
+    return report(predict(ckpt, ds, batch_size)[0])

@@ -6,7 +6,7 @@ formulas, sharing no code with the package under test.
 
 import numpy as np
 
-from eegfs.autodiff import DimensionError, Tape, Tensor, backward
+from eegfs.autodiff import DimensionError, Tape, Tensor, ValidationError, backward
 
 
 def matmul_loops(a, b):
@@ -162,6 +162,55 @@ def entropy_direct_sum(p):
     return total
 
 
+def probability(v: np.ndarray, kind: str) -> np.ndarray:
+    """Channel probabilities of heat-map values: softmax over the channel
+    axis (first axis), or independent per-channel sigmoids."""
+    v = np.asarray(v, dtype=np.float64)
+    if kind == "softmax":
+        e = np.exp(v - v.max(axis=0, keepdims=True))
+        return e / e.sum(axis=0, keepdims=True)
+    if kind == "sigmoid":
+        return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    raise ValidationError(f"kind must be softmax|sigmoid, got {kind!r}")
+
+
+def entropy(p: np.ndarray, kind: str) -> float | np.ndarray:
+    """Channel entropy in nats, with 0 log 0 = 0.
+
+    Softmax kind treats the channel axis as one distribution; sigmoid
+    kind sums independent binary entropies over channels. A 1-D input
+    yields a float; a (C, S) input yields per-location entropies (S,).
+    """
+    p = np.asarray(p, dtype=np.float64)
+
+    def xlogx(a):
+        return np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0)
+
+    if kind == "softmax":
+        h = -xlogx(p).sum(axis=0)
+    elif kind == "sigmoid":
+        h = -(xlogx(p) + xlogx(1.0 - p)).sum(axis=0)
+    else:
+        raise ValidationError(f"kind must be softmax|sigmoid, got {kind!r}")
+    return float(h) if p.ndim == 1 else h
+
+
+def lambda_weights(entropies: np.ndarray, eps_h: float = 1e-12) -> np.ndarray:
+    """One minus entropy normalized by its maximum, per location.
+
+    When every entropy is below ``eps_h`` there is no uncertainty signal
+    to normalize by; all locations are kept fully (weights of one).
+    """
+    h = np.asarray(entropies, dtype=np.float64)
+    if (h < 0).any():
+        raise ValidationError("entropies must be nonnegative")
+    hmax = h.max()
+    if hmax < eps_h:
+        return np.ones_like(h)
+    return 1.0 - h / hmax
+
+
 def auroc_pair_count(scores, labels):
     """O(n^2) positive-outranks-negative count; ties count one half."""
     pos = [s for s, y in zip(scores, labels) if y == 1]
@@ -272,7 +321,9 @@ def adam_scalar_reference(theta, grads, lr, wd, b1, b2, eps):
 
 
 def finite_difference_grads(build, arrays, h=1e-5):
-    """Central-difference gradients of a taped scalar function.
+    """Fourth-order central-difference gradients of a taped scalar function:
+    (8(f(h) - f(-h)) - (f(2h) - f(-2h))) / 12h, the differences taken first
+    so that a zero gradient comes out as zero rather than rounding residue.
 
     ``build`` maps a list of Tensors to a scalar Tensor; it is re-run for
     every perturbed element, so it must be a pure function of its inputs.
@@ -287,11 +338,12 @@ def finite_difference_grads(build, arrays, h=1e-5):
         g = np.zeros_like(a, dtype=np.float64)
         flat = g.ravel()
         for idx in range(a.size):
-            plus = [arr.copy() for arr in arrays]
-            minus = [arr.copy() for arr in arrays]
-            plus[i].ravel()[idx] += h
-            minus[i].ravel()[idx] -= h
-            flat[idx] = (value(plus) - value(minus)) / (2 * h)
+            def at(step):
+                moved = [arr.copy() for arr in arrays]
+                moved[i].ravel()[idx] += step
+                return value(moved)
+
+            flat[idx] = (8 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12 * h)
         grads.append(g)
     return grads
 

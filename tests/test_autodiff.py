@@ -1,6 +1,8 @@
 """Tensor engine tests: op semantics against loop oracles, gradients
 against central finite differences."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -435,9 +437,9 @@ GRAD_CASES = [
 
 @pytest.mark.parametrize("name,build,gen", GRAD_CASES, ids=[c[0] for c in GRAD_CASES])
 def test_finite_difference_gradients(name, build, gen):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(3):
-        check_gradients(build, gen(rng), rel_tol=1e-6)
+        check_gradients(build, gen(rng), rel_tol=1e-6, h=1e-3)
 
 
 # Each entry: (name, op over input tensors, input shapes). Production shapes.

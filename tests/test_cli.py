@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from eegfs.cli import main, parse_grid, resolve_config, CliConfigError
-from eegfs.data import read
-from eegfs.training import load
+from eegfs.cli import (
+    CliConfigError,
+    corpus_spec_from,
+    main,
+    parse_grid,
+    resolve_config,
+    train_config_from,
+    write_resolved,
+)
+from eegfs.data import CorpusSpec, read
+from eegfs.encoder import EncoderConfig
+from eegfs.training import TrainConfig, load, save
 
 
 SMALL = [
@@ -55,6 +64,40 @@ class TestResolveConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(CliConfigError, match="bad value"):
             resolve_config(None, ["epochs=soon"])
+
+    def test_resolved_key_list(self, tmp_path):
+        write_resolved(resolve_config(None, []), tmp_path)
+        lines = (tmp_path / "config.resolved").read_text().splitlines()
+        assert [line.partition("=")[0] for line in lines] == [
+            "K", "activation", "adam_beta1", "adam_beta2", "adam_eps", "batch_size",
+            "blocks", "bn_eps", "bn_momentum", "channels", "class_balance",
+            "data_seed", "epochs", "fs_enabled", "gamma", "insertion_layer", "lr",
+            "m", "n_clips", "n_groups", "noise_sigma", "q", "sample_rate", "seed",
+            "spike_amplitude", "spike_channel_span", "spike_width_ms_max",
+            "spike_width_ms_min", "split_by_group", "split_seed", "test_ratio",
+            "timestamps", "train_ratio", "val_ratio", "weight_decay"]
+
+    def test_every_key_reaches_its_field(self):
+        values = resolve_config(None, [
+            "n_clips=30", "channels=4", "timestamps=80", "sample_rate=200",
+            "class_balance=0.4", "noise_sigma=0.5", "spike_amplitude=3",
+            "spike_width_ms_min=25", "spike_width_ms_max=50", "spike_channel_span=2",
+            "n_groups=6", "data_seed=9", "epochs=3", "batch_size=8", "lr=0.001",
+            "weight_decay=0.01", "adam_beta1=0.8", "adam_beta2=0.99", "adam_eps=1e-7",
+            "seed=5", "q=3", "K=2", "m=0.5", "gamma=0.7", "fs_enabled=false",
+            "insertion_layer=1", "blocks=4:5:1:2,6:3:1:1", "activation=sigmoid",
+            "bn_eps=0.0001", "bn_momentum=0.3"])
+        assert corpus_spec_from(values) == CorpusSpec(
+            n_clips=30, channels=4, timestamps=80, sample_rate=200, class_balance=0.4,
+            noise_sigma=0.5, spike_amplitude=3.0, spike_width_ms=(25.0, 50.0),
+            spike_channel_span=2, n_groups=6, seed=9)
+        assert train_config_from(values) == TrainConfig(
+            epochs=3, batch_size=8, lr=0.001, weight_decay=0.01, adam_beta1=0.8,
+            adam_beta2=0.99, adam_eps=1e-7, seed=5, bank_size=3, top_k=2,
+            momentum=0.5, decay=0.7, fs_enabled=False, encoder=EncoderConfig(
+                in_channels=4, clip_len=80, blocks=((4, 5, 1, 2), (6, 3, 1, 1)),
+                insertion_layer=1, activation_kind="sigmoid", bn_eps=0.0001,
+                bn_momentum=0.3))
 
 
 class TestGenData:
@@ -228,6 +271,19 @@ class TestExportAttribution:
                    "--out", str(tmp_path / "a.csv")])
         assert rc == 2
         assert "frozen" in capsys.readouterr().err
+
+    def test_incomplete_checkpoint_exits_2(self, tmp_path, capsys):
+        data, out = self._trained(tmp_path)
+        ckpt = load(out / "checkpoint.bin")
+        del ckpt.tensors["config/lr"]
+        partial = tmp_path / "partial.bin"
+        save(ckpt, partial)
+        capsys.readouterr()
+        rc = main(["export-attribution", "--checkpoint", str(partial),
+                   "--data", str(data), "--clip", "0", "--out", str(tmp_path / "a.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config/lr" in err and "Traceback" not in err
 
     def test_unknown_clip_exits_2(self, tmp_path):
         data, out = self._trained(tmp_path)

@@ -12,19 +12,19 @@ from eegfs.selection import (
     FeatureSelector,
     FsState,
     batch_pool,
-    entropy,
     export_attribution,
     fs_forward,
     heat_map,
-    lambda_weights,
-    probability,
     write_attribution_csv,
 )
 from _oracles import (
     check_gradients,
+    entropy,
     entropy_direct_sum,
     fs_scalar_reference,
+    lambda_weights,
     mean_loops,
+    probability,
     softmax_exp_normalize,
 )
 

@@ -2,7 +2,9 @@
 bookkeeping, determinism, checkpoint round trips, resume equivalence."""
 
 import gc
+import struct
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from eegfs.training import (
     adam_update,
     evaluate,
     load,
+    predict,
     restore_model,
     save,
     train,
     write_metrics_csv,
 )
-from eegfs.autodiff import Tape, Tensor, backward, cross_entropy_logits
+from eegfs.autodiff import Tape, Tensor, ValidationError, backward, cross_entropy_logits
+from eegfs.metrics import report
 from _oracles import adam_scalar_reference
 
 
@@ -256,6 +260,14 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError):
             evaluate(result.final, te)
 
+    def test_evaluate_reports_predict_scores(self, tiny_splits):
+        tr, va, te = tiny_splits
+        ckpt = train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va).final
+        scores, loss = predict(ckpt, te, batch_size=8)
+        assert [y for _, y in scores] == [c.label for c in te.clips]
+        assert all(0.0 <= p <= 1.0 for p, _ in scores) and np.isfinite(loss)
+        assert report(scores) == evaluate(ckpt, te)
+
     def test_single_class_dataset_handled(self, tiny_splits):
         tr, va, te = tiny_splits
         result = train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va)
@@ -310,6 +322,64 @@ class TestCheckpointIO:
         cfg = _tiny_config(epochs=2, batch_size=8, bank_size=2, momentum=0.35)
         result = train(cfg, tr, va)
         assert result.final.config() == cfg
+
+    def test_every_config_field_round_trips(self, tiny_splits, tmp_path):
+        tr, va, _ = tiny_splits
+        enc = EncoderConfig(in_channels=4, clip_len=80, blocks=((4, 5, 1, 2), (6, 3, 1, 1)),
+                            insertion_layer=1, num_classes=3, activation_kind="sigmoid",
+                            bn_eps=2e-5, bn_momentum=0.2)
+        cfg = TrainConfig(epochs=1, batch_size=16, lr=3e-4, weight_decay=2e-4,
+                          adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-7, seed=11,
+                          bank_size=3, top_k=2, momentum=0.35, decay=0.5,
+                          fs_enabled=False, encoder=enc)
+        for obj in (cfg, enc):
+            for f in fields(obj):
+                if f.name != "encoder":
+                    assert getattr(obj, f.name) != f.default, f.name
+        ckpt = train(cfg, tr, va).final
+        assert sorted(n for n in ckpt.tensors if n.startswith("config/")) == [
+            "config/adam_beta1", "config/adam_beta2", "config/adam_eps",
+            "config/bank_size", "config/batch_size", "config/decay",
+            "config/enc.activation", "config/enc.blocks", "config/enc.bn_eps",
+            "config/enc.bn_momentum", "config/enc.clip_len", "config/enc.in_channels",
+            "config/enc.insertion_layer", "config/enc.num_classes", "config/epochs",
+            "config/fs_enabled", "config/lr", "config/momentum", "config/seed",
+            "config/top_k", "config/weight_decay"]
+        assert ckpt.tensors["config/enc.activation"] == 1.0  # sigmoid
+        p = tmp_path / "ck.bin"
+        save(ckpt, p)
+        assert load(p).config() == cfg
+
+    def test_missing_tensor_named(self, tiny_splits):
+        tr, va, te = tiny_splits
+        ckpt = train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va).final
+        for name in ("config/lr", "config/enc.blocks", "param/head.w",
+                     "state/bn.enc.0.mean", "state/bn.fs.var"):
+            partial = Checkpoint({k: v for k, v in ckpt.tensors.items() if k != name})
+            with pytest.raises(ValidationError, match=f"lacks tensor '{name}'"):
+                evaluate(partial, te)
+
+    def test_invalid_utf8_name_rejected(self, tiny_splits, tmp_path):
+        tr, va, _ = tiny_splits
+        result = train(_tiny_config(epochs=1, batch_size=16), tr, va)
+        p = tmp_path / "ck.bin"
+        save(result.final, p)
+        raw = bytearray(p.read_bytes())
+        at = raw.index(b"config/lr")
+        raw[at + 3] = 0xFF
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="UTF-8") as e:
+            load(p)
+        assert e.value.offset == at
+
+    def test_overflowing_dims_rejected(self, tmp_path):
+        # (2**32 - 1)**2 elements wraps to a negative int64 byte count
+        p = tmp_path / "ck.bin"
+        p.write_bytes(b"IEFS" + struct.pack("<HIH", 1, 1, 1) + b"x"
+                      + struct.pack("<BB2I", 1, 2, 2**32 - 1, 2**32 - 1) + bytes(64))
+        with pytest.raises(ParseError, match="truncated while reading x payload") as e:
+            load(p)
+        assert e.value.offset == 23
 
     def test_truncated_file_rejected(self, tiny_splits, tmp_path):
         tr, va, _ = tiny_splits

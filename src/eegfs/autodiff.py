@@ -6,6 +6,16 @@ reverse sweep over the tape yields gradients for all parameters and for
 any intermediate node registered in the tape's capture set (used to pull
 per-sample feature-map gradients out of a training step).
 
+The sweep computes only the gradients someone reads. The tape marks a
+node *live* when it is a leaf with ``requires_grad``, when it was passed
+to :meth:`Tape.capture`, or when it is the output of a recorded op with at
+least one live input. Each op reads this flag for its inputs when it is
+recorded, and its rule returns None, without computing it, for an input
+that is not live: block 0's ``conv1d`` skips the gradient of the raw
+clips, and the binary ops skip their constant side. A tensor must
+therefore be captured before any op consumes it; capturing it afterwards
+raises :class:`TapeUsageError`.
+
 Broadcasting is restricted to numpy-compatible shapes; gradients of
 broadcast operands are summed back to the operand's shape.
 
@@ -15,7 +25,7 @@ shape (Cin*k, B*T_out). ``batchnorm`` centres its input once and reuses the
 centred copy for the variance and the normalized output; its backward
 reuses the two channel sums it needs for the affine gradients.
 ``avg_pool1d`` adds its strided window phases instead of reducing over a
-short inner axis.
+short inner axis, and its backward writes each phase of the gradient once.
 
 A tensor refers to the tape that registered it weakly, so a tape is freed
 as soon as its owner drops it, without waiting for the cyclic collector.
@@ -125,7 +135,8 @@ class Tape:
 
     Records are appended in execution order, which is a valid topological
     order by construction. ``capture_set`` holds node ids whose gradients
-    must be retained after backward even if they are not leaves.
+    must be retained after backward even if they are not leaves; ``_live``
+    holds the ids of the nodes backward computes a gradient for.
 
     Use as a context manager; recording stops on exit and the tape is then
     closed (backward requires a closed tape).
@@ -138,6 +149,7 @@ class Tape:
         self._recording = False
         self._entered = False
         self.capture_set: set[int] = set()
+        self._live: set[int] = set()
 
     @property
     def recording(self) -> bool:
@@ -171,8 +183,18 @@ class Tape:
         return t.node_id
 
     def capture(self, t: Tensor) -> None:
-        """Mark ``t`` so its gradient is retained by backward."""
-        self.capture_set.add(self.register(t))
+        """Mark ``t`` live so backward computes and retains its gradient.
+
+        Raises TapeUsageError when a recorded op has already consumed ``t``
+        while it was not live: that op computed no gradient for it.
+        """
+        if (t.tape is self and t.node_id not in self._live
+                and any(t.node_id in in_ids for _, in_ids, _ in self._records)):
+            raise TapeUsageError("capture after use: a recorded op already consumed "
+                                 "this tensor without computing its gradient")
+        node_id = self.register(t)
+        self.capture_set.add(node_id)
+        self._live.add(node_id)
 
 
 def _as_tensor(x) -> Tensor:
@@ -181,16 +203,28 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Whether the recording tape wants a gradient for ``t`` (``t`` is live)."""
+    tape = _ACTIVE_TAPE
+    return tape is not None and (
+        t.requires_grad or (t.tape is tape and t.node_id in tape._live))
+
+
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_rule: Callable) -> Tensor:
     """Append an op to the active tape, if one is recording.
 
     ``backward_rule(grad_out) -> tuple`` returns one gradient array (or
-    None) per input, each already summed to the input's shape.
+    None) per input, each already summed to the input's shape. The output
+    is live when any input is.
     """
     tape = _ACTIVE_TAPE
     if tape is not None and tape.recording:
         in_ids = tuple(tape.register(t) for t in inputs)
         out_id = tape.register(out)
+        live = [i for t, i in zip(inputs, in_ids) if t.requires_grad or i in tape._live]
+        if live:
+            tape._live.update(live)
+            tape._live.add(out_id)
         tape._records.append((out_id, in_ids, backward_rule))
     return out
 
@@ -199,8 +233,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep over ``tape`` from scalar ``loss``.
 
     Populates ``.grad`` on every ``requires_grad`` tensor (zeros when the
-    loss does not depend on it) and on every captured node. Grads are
-    fresh arrays each call, so repeated sweeps are reproducible.
+    loss does not depend on it) and on every captured node. Only live
+    nodes get a gradient (see the module docstring). A node's first
+    contribution is stored as returned, without a copy; the second builds
+    a new sum and later ones add into it, so no array a rule returned is
+    ever written to. Grads are fresh arrays each call, so repeated sweeps
+    are reproducible, and no two ``.grad`` arrays share memory.
     """
     if tape.recording:
         raise TapeUsageError("backward on an open tape; close it first")
@@ -210,24 +248,35 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise TapeUsageError("loss was not produced under this tape")
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    summed: set[int] = set()  # nodes whose gradient buffer backward allocated
     for out_id, in_ids, rule in reversed(tape._records):
         g_out = grads.get(out_id)
         if g_out is None:
             continue
-        contribs = rule(g_out)
-        for node_id, contrib in zip(in_ids, contribs):
-            if contrib is None:
+        for node_id, contrib in zip(in_ids, rule(g_out)):
+            if contrib is None or node_id not in tape._live:
                 continue
             acc = grads.get(node_id)
             if acc is None:
-                grads[node_id] = np.array(contrib, dtype=np.float64, copy=True)
-            else:
+                grads[node_id] = np.asarray(contrib, dtype=np.float64)
+            elif node_id in summed:
                 acc += contrib
+            else:  # asarray: a sum of 0-d gradients comes back as a numpy scalar
+                grads[node_id] = np.asarray(acc + contrib)
+                summed.add(node_id)
 
+    handed_out: set[int] = set()  # ids of the buffers behind the grads set so far
     for node_id, t in tape._tensors.items():
         if t.requires_grad or node_id in tape.capture_set:
             g = grads.get(node_id)
-            t.grad = np.zeros_like(t.data) if g is None else g
+            if g is None:
+                g = np.zeros_like(t.data)
+            else:
+                owner = id(g if g.base is None else g.base)
+                if owner in handed_out:
+                    g = g.copy()  # e.g. both inputs of an add receive the same array
+                handed_out.add(owner)
+            t.grad = g
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +302,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _binary(a, b, opname: str, fwd: Callable, bwd: Callable) -> Tensor:
+def _binary(a, b, opname: str, fwd: Callable, bwd_a: Callable, bwd_b: Callable) -> Tensor:
+    """Broadcasting binary op; ``bwd_a``/``bwd_b`` map (g, a, b) to the
+    gradient of one side and run only when that side is live."""
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_check(a.shape, b.shape, opname)
     out = Tensor(fwd(a.data, b.data))
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def rule(g):
-        ga, gb = bwd(g, a.data, b.data)
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        return (_unbroadcast(bwd_a(g, a.data, b.data), a.shape) if need_a else None,
+                _unbroadcast(bwd_b(g, a.data, b.data), b.shape) if need_b else None)
 
     return _record(out, (a, b), rule)
 
@@ -270,22 +322,21 @@ def _binary(a, b, opname: str, fwd: Callable, bwd: Callable) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, "add", lambda x, y: x + y, lambda g, x, y: (g, g))
+    return _binary(a, b, "add", lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, "sub", lambda x, y: x - y, lambda g, x, y: (g, -g))
+    return _binary(a, b, "sub", lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, "mul", lambda x, y: x * y, lambda g, x, y: (g * y, g * x))
+    return _binary(a, b, "mul", lambda x, y: x * y,
+                   lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    return _binary(
-        a, b, "div", lambda x, y: x / y,
-        lambda g, x, y: (g / y, -g * x / (y * y)),
-    )
+    return _binary(a, b, "div", lambda x, y: x / y,
+                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -408,7 +459,8 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     the (Cin, B, T) view of the input. Forward is the GEMM ``w2 @ cols``
     with ``w2`` the (Cout, Cin*k) kernel matrix; backward is ``g2 @ cols.T``
     for the kernel and ``w2.T @ g2`` for the columns, which are scatter-added
-    back one offset at a time as contiguous row slabs.
+    back one offset at a time as contiguous row slabs; the column side is
+    skipped when the input is not live.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -438,10 +490,13 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     cols = cols.reshape(c_in * k, batch * t_out)
     w2 = w.data.reshape(c_out, c_in * k)
     out = Tensor((w2 @ cols).reshape(c_out, batch, t_out).transpose(1, 0, 2))
+    need_x = _needs_grad(x)
 
     def rule(g):
         g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, batch * t_out)
         gw = (g2 @ cols.T).reshape(c_out, c_in, k)
+        if not need_x:  # e.g. the raw clip batch
+            return (None, gw)
         gcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
         gxp = np.zeros((c_in, batch, t_pad))
         for kk in range(k):  # windows overlap, so scatter-add per offset
@@ -474,8 +529,11 @@ def avg_pool1d(x: Tensor, pool_len: int) -> Tensor:
     out = Tensor(acc)
 
     def rule(g):
-        gx = np.zeros_like(x.data)
-        gx[:, :, :span] = np.repeat(g / pool_len, pool_len, axis=2)
+        gx = np.empty_like(x.data)
+        gp = g / pool_len
+        for j in range(pool_len):
+            gx[:, :, j:span:pool_len] = gp
+        gx[:, :, span:] = 0.0
         return (gx,)
 
     return _record(out, (x,), rule)

@@ -120,7 +120,10 @@ class GradientBank:
         Raises NonFiniteGradientError, and leaves the bank unchanged, when
         any gradient value is NaN or infinite: sampling could not rank it.
         """
-        grads = np.array(grads, dtype=np.float64)
+        self._append(iteration, np.array(grads, dtype=np.float64))
+
+    def _append(self, iteration: int, grads: np.ndarray) -> None:
+        """Check one entry as push documents it and enqueue ``grads`` itself."""
         if grads.ndim != 3 or grads.shape[1:] != (self.channels, self.spatial):
             raise DimensionError(
                 f"push: gradients shape {grads.shape} does not match "
@@ -222,10 +225,12 @@ class GradientBank:
         return [(it, g.copy()) for it, g in self.entries]
 
     def restore(self, entries: list[tuple[int, np.ndarray]]) -> None:
+        """Replace the queue with ``entries``, each checked as by push but
+        held without a copy: the caller hands over the arrays."""
         self.entries.clear()
         self._row_norms.clear()
         for it, g in entries:
-            self.push(it, g)
+            self._append(it, np.asarray(g, dtype=np.float64))
 
 
 def apply_decay(s: SampledGradients, decay: float) -> SampledGradients:

@@ -239,9 +239,13 @@ def load(path) -> Checkpoint:
         dtype, rank = r.unpack("<BB", f"{name} dtype/rank")
         if dtype != _DTYPE_F64:
             raise ParseError(r.offset - 2, f"{name}: unknown dtype tag {dtype}")
+        dims_at = r.offset
         dims = r.unpack(f"<{rank}I", f"{name} dims")
         payload = r.take(8 * math.prod(dims), f"{name} payload")  # exact, no int64 wrap
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        except ValueError:  # e.g. a zero dim beside dims whose product numpy cannot index
+            raise ParseError(dims_at, f"{name}: dims {dims} exceed numpy's array size") from None
     r.finish()
     return Checkpoint(tensors=tensors)
 

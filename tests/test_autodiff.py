@@ -158,6 +158,24 @@ class TestConv1d:
         assert _rel_err(gx, want_gx) < 1e-12
         assert _rel_err(gw, want_gw) < 1e-12
 
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+    def test_rule_skips_constant_input(self, stride, padding):
+        rng = np.random.default_rng(23 + stride)
+        x = rng.standard_normal((64, 16, 250))
+        w = rng.standard_normal((32, 16, 7))
+        rules = {}
+        for x_live in (False, True):
+            tape = Tape()
+            with tape:
+                out = conv1d(Tensor(x, requires_grad=x_live), Tensor(w, requires_grad=True),
+                             stride=stride, padding=padding)
+            rules[x_live] = tape._records[-1][2]
+        g = rng.standard_normal(out.shape)
+        gx_pruned, gw_pruned = rules[False](g)
+        gx_full, gw_full = rules[True](g)
+        assert gx_pruned is None and gx_full.shape == x.shape
+        np.testing.assert_array_equal(gw_pruned, gw_full)
+
 
 class TestBatchNorm:
     def test_prenormalized_input_passes_through(self):
@@ -294,6 +312,17 @@ class TestElementwise:
         want = x[..., :64].reshape(4, 3, 4, 16).mean(-1)
         np.testing.assert_allclose(avg_pool1d(Tensor(x), 16).data, want, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("shape,pool_len", [((64, 32, 244), 2), ((64, 64, 118), 3)])
+    def test_avg_pool_backward_equals_repeat(self, shape, pool_len):
+        rng = np.random.default_rng(shape[2])
+        x = rng.standard_normal(shape)
+        t_out = shape[2] // pool_len
+        g = rng.standard_normal((*shape[:2], t_out))
+        want = np.zeros(shape)
+        want[:, :, :t_out * pool_len] = np.repeat(g / pool_len, pool_len, axis=2)
+        _, (gx,) = _vjp(lambda a: avg_pool1d(a, pool_len), [x], g)
+        np.testing.assert_array_equal(gx, want)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -371,6 +400,74 @@ class TestBackward:
         backward(loss, tape)
         assert h.grad is not None and h.grad.shape == (2, 2)
         np.testing.assert_allclose(h.grad, 2 * h.data / 4, atol=1e-15)
+
+    def test_capture_of_constant_before_use_gets_exact_gradient(self):
+        rng = np.random.default_rng(18)
+        c = Tensor(rng.standard_normal((3, 4)))
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        tape = Tape()
+        with tape:
+            tape.capture(c)
+            loss = sum_over_axes(mul(c, w), (0, 1))
+        backward(loss, tape)
+        np.testing.assert_array_equal(c.grad, w.data)
+        np.testing.assert_array_equal(w.grad, c.data)
+
+    def test_capture_after_use_raises(self):
+        c = Tensor(np.ones((3, 4)))
+        w = Tensor(np.ones((3, 4)), requires_grad=True)
+        tape = Tape()
+        with tape:
+            prod = mul(c, w)
+            with pytest.raises(TapeUsageError, match="capture after use"):
+                tape.capture(c)
+            tape.capture(prod)  # produced but not yet consumed: still allowed
+
+    def test_node_consumed_three_times_gets_exact_sum(self):
+        # Small integers, so every sum is exact whatever its order.
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.integers(-4, 5, (3, 4)).astype(float), requires_grad=True)
+        c = rng.integers(-4, 5, 12).astype(float)
+        d = rng.integers(-4, 5, (3, 4)).astype(float)
+        tape = Tape()
+        with tape:
+            flat = reshape(x, (12,))
+            tape.capture(flat)
+            twice = add(x, x)
+            tape.capture(twice)
+            loss = add(sum_over_axes(mul(flat, Tensor(c)), (0,)),
+                       sum_over_axes(mul(twice, Tensor(d)), (0, 1)))
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, d + d + c.reshape(3, 4))
+        np.testing.assert_array_equal(flat.grad, c)
+        np.testing.assert_array_equal(twice.grad, d)
+        assert not np.shares_memory(x.grad, flat.grad)
+        assert not np.shares_memory(x.grad, twice.grad)
+
+    def test_add_inputs_get_separate_gradients(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        tape = Tape()
+        with tape:
+            loss = sum_over_axes(add(a, b), (0, 1))
+        backward(loss, tape)
+        np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_binary_ops_skip_the_constant_side(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        k = Tensor(rng.uniform(1.0, 2.0, (2, 3)))
+        g = rng.standard_normal((2, 3))
+        for op in (add, sub, mul, div):
+            for args, live in (((x, k), 0), ((k, x), 1)):
+                tape = Tape()
+                with tape:
+                    op(*args)
+                grads = tape._records[-1][2](g)
+                assert grads[1 - live] is None
+                assert grads[live].shape == (2, 3)
 
 
 def _away_from_zero(rng, shape, margin=0.1):

@@ -74,6 +74,25 @@ class TestPush:
             for (_, got), (_, want) in zip(bank.entries, held):
                 np.testing.assert_array_equal(got, want)
 
+    def test_restore_holds_the_given_arrays(self):
+        rng = np.random.default_rng(23)
+        entries = [(j, _rand_entry(rng)) for j in (2, 5, 7)]
+        bank = _bank(q=2)
+        bank.restore(entries)
+        assert [it for it, _ in bank.entries] == [2, 5, 7]
+        assert all(got is given for (_, got), (_, given) in zip(bank.entries, entries))
+
+    def test_restore_checks_entries_as_push_does(self):
+        rng = np.random.default_rng(24)
+        bad_value = _rand_entry(rng)
+        bad_value[0, 1, 2] = np.nan
+        for entries, error in (
+                ([(1, np.zeros((2, 5, 3)))], DimensionError),
+                ([(3, _rand_entry(rng)), (3, _rand_entry(rng))], BankUsageError),
+                ([(1, _rand_entry(rng)), (2, bad_value)], NonFiniteGradientError)):
+            with pytest.raises(error):
+                _bank().restore(entries)
+
     def test_is_full(self):
         rng = np.random.default_rng(3)
         bank = _bank(q=2)

@@ -1,0 +1,108 @@
+"""Bounded fuzz tests of the two binary formats: a corrupted corpus or
+checkpoint file either parses or raises ParseError/ValidationError,
+never a stray exception; a truncated one always raises ParseError."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from eegfs.autodiff import ValidationError
+from eegfs.data import Dataset, EegClip, ParseError, read, write
+from eegfs.training import Checkpoint, load, save
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _corpus_bytes(path):
+    rng = np.random.default_rng(0)
+    clips = [EegClip(clip_id=i, group_id=i % 2, label=i % 2,
+                     data=rng.standard_normal((2, 8)).astype(np.float32).astype(np.float64))
+             for i in range(3)]
+    write(Dataset(channels=2, timestamps=8, sample_rate=250, n_groups=2, clips=clips), path)
+    return path.read_bytes()
+
+
+def _checkpoint_bytes(path):
+    rng = np.random.default_rng(1)
+    save(Checkpoint({"a/scalar": np.asarray(3.0), "b/vector": rng.standard_normal(4),
+                     "c/matrix": rng.standard_normal((2, 3)),
+                     "d/cube": rng.standard_normal((2, 1, 2))}), path)
+    return path.read_bytes()
+
+
+def _corpus_dims(raw):
+    """Offsets of the corpus header's clip count, channels and timestamps."""
+    return [6, 10, 14]
+
+
+def _checkpoint_dims(raw):
+    """Offsets of every u32 dimension field, found by walking the layout."""
+    (count,) = struct.unpack_from("<I", raw, 6)
+    off, dims = 10, []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", raw, off)
+        off += 2 + n
+        (rank,) = struct.unpack_from("<B", raw, off + 1)
+        off += 2
+        shape = struct.unpack_from(f"<{rank}I", raw, off)
+        dims += [off + 4 * i for i in range(rank)]
+        off += 4 * rank + 8 * math.prod(shape)
+    return dims
+
+
+FORMATS = {
+    "corpus": (_corpus_bytes, read, _corpus_dims),
+    "checkpoint": (_checkpoint_bytes, load, _checkpoint_dims),
+}
+
+
+@pytest.fixture(params=sorted(FORMATS))
+def fmt(request, tmp_path):
+    make, parse, dims = FORMATS[request.param]
+    path = tmp_path / f"{request.param}.bin"
+    raw = make(path)
+    parse(path)  # the uncorrupted file parses
+
+    def attempt(blob):
+        path.write_bytes(blob)
+        try:
+            parse(path)
+        except (ParseError, ValidationError) as e:
+            return e
+        return None
+
+    return raw, attempt, dims(raw)
+
+
+@FUZZ
+@given(data=st.data())
+def test_truncation_raises_parse_error(fmt, data):
+    raw, attempt, _ = fmt
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    assert isinstance(attempt(raw[:cut]), ParseError)
+
+
+@FUZZ
+@given(data=st.data())
+def test_bit_flips_parse_or_raise_typed_errors(fmt, data):
+    raw, attempt, _ = fmt
+    blob = bytearray(raw)
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+    attempt(bytes(blob))
+
+
+@FUZZ
+@given(data=st.data())
+def test_oversized_dims_parse_or_raise_typed_errors(fmt, data):
+    raw, attempt, dims = fmt
+    blob = bytearray(raw)
+    at = data.draw(st.sampled_from(dims))
+    value = data.draw(st.integers(2 ** 8, 2 ** 32 - 1))
+    blob[at:at + 4] = struct.pack("<I", value)
+    attempt(bytes(blob))

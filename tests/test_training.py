@@ -204,20 +204,27 @@ class TestTrainLoop:
         assert isinstance(e.value.__cause__, NonFiniteGradientError)
 
 
+def _model_with_full_bank(cfg):
+    """Encoder, bank and selector with a bank full of random gradients, so
+    the next train-mode forward runs the selection path."""
+    enc = Encoder(cfg.encoder, seed=cfg.seed)
+    chans, spat = cfg.encoder.feature_shape()
+    bank = GradientBank(capacity=cfg.bank_size, top_k=cfg.top_k, decay=cfg.decay,
+                        channels=chans, spatial=spat)
+    sel = FeatureSelector(bank, cfg.momentum, FsState(channels=chans))
+    rng = np.random.default_rng(0)
+    for it in range(1, cfg.bank_size + 2):
+        bank.push(it, rng.standard_normal((8, chans, spat)))
+    return enc, bank, sel
+
+
 class TestTapeLifetime:
     def test_step_tape_freed_without_cyclic_gc(self, tiny_splits):
         """A training step's tape is freed by reference counting alone once
         the step's locals are dropped: tensors refer to their tape weakly."""
         tr, _, _ = tiny_splits
         cfg = _tiny_config()
-        enc = Encoder(cfg.encoder, seed=cfg.seed)
-        chans, spat = cfg.encoder.feature_shape()
-        bank = GradientBank(capacity=cfg.bank_size, top_k=cfg.top_k, decay=cfg.decay,
-                            channels=chans, spatial=spat)
-        sel = FeatureSelector(bank, cfg.momentum, FsState(channels=chans))
-        rng = np.random.default_rng(0)
-        for it in range(1, cfg.bank_size + 2):
-            bank.push(it, rng.standard_normal((8, chans, spat)))
+        enc, bank, sel = _model_with_full_bank(cfg)
         x = Tensor(np.stack([c.data for c in tr.clips[:8]]))
         y = np.array([c.label for c in tr.clips[:8]])
         moments = AdamMoments.zeros_like(enc.params)
@@ -242,6 +249,33 @@ class TestTapeLifetime:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+class TestGradientPruning:
+    @staticmethod
+    def _step(clips, x_requires_grad):
+        """One train-mode step with the selection path live; returns the
+        parameter grads, the captured feature-map grad and the input."""
+        enc, _, sel = _model_with_full_bank(_tiny_config())
+        x = Tensor(np.stack([c.data for c in clips]), requires_grad=x_requires_grad)
+        tape = Tape()
+        with tape:
+            logits, h_l = enc.forward(x, fs=sel, mode="train")
+            loss = cross_entropy_logits(logits, [c.label for c in clips])
+        backward(loss, tape)
+        assert sel.current_alpha is not None
+        return {k: p.grad for k, p in enc.params.items()}, h_l.grad, x
+
+    def test_input_gradient_does_not_change_other_gradients(self, tiny_splits):
+        clips = tiny_splits[0].clips[:8]
+        pruned, h_pruned, x_pruned = self._step(clips, False)
+        full, h_full, x_full = self._step(clips, True)
+        assert x_pruned.grad is None
+        assert x_full.grad.shape == x_full.shape and np.abs(x_full.grad).max() > 0
+        np.testing.assert_array_equal(h_pruned, h_full)
+        assert sorted(pruned) == sorted(full)
+        for name in full:
+            np.testing.assert_array_equal(pruned[name], full[name])
 
 
 class TestEvaluate:
@@ -381,6 +415,15 @@ class TestCheckpointIO:
             load(p)
         assert e.value.offset == 23
 
+    def test_empty_tensor_with_unindexable_dims_rejected(self, tmp_path):
+        # zero elements, but numpy cannot shape an array of these dims
+        p = tmp_path / "ck.bin"
+        p.write_bytes(b"IEFS" + struct.pack("<HIH", 1, 1, 1) + b"x"
+                      + struct.pack("<BB3I", 1, 3, 0, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(ParseError, match="exceed numpy's array size") as e:
+            load(p)
+        assert e.value.offset == 15
+
     def test_truncated_file_rejected(self, tiny_splits, tmp_path):
         tr, va, _ = tiny_splits
         result = train(_tiny_config(epochs=1, batch_size=16), tr, va)
@@ -404,6 +447,14 @@ class TestCheckpointIO:
         p = tmp_path / "ck.bin"
         save(result.final, p)
         assert evaluate(load(p), te) == evaluate(result.final, te)
+
+    def test_restore_model_banks_the_loaded_arrays_without_a_copy(self, tiny_splits):
+        tr, va, _ = tiny_splits
+        ckpt = train(_tiny_config(epochs=1, batch_size=8, bank_size=2), tr, va).final
+        _, _, sel = restore_model(ckpt)
+        names = sorted(n for n in ckpt.tensors if n.startswith("bank/") and n.endswith("/grads"))
+        assert len(names) == len(sel.bank.entries) == 3
+        assert all(g is ckpt.tensors[n] for (_, g), n in zip(sel.bank.entries, names))
 
 
 class TestResume:

@@ -11,7 +11,6 @@ from .autodiff import (
     backward,
 )
 from .bank import (
-    AlphaWeights,
     GradientBank,
     NonFiniteGradientError,
     SampledGradients,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -69,15 +68,6 @@ class SampledGradients:
     ages: np.ndarray                   # (n_selected,) ints >= 2
     selected_keys: list = field(default_factory=list)  # (iteration, sample) per row
     decayed: bool = False
-
-
-@dataclass
-class AlphaWeights:
-    """Channel weight vector with its blend coefficient."""
-
-    alpha: np.ndarray                  # (C,)
-    m: float
-    frozen_alpha: Optional[np.ndarray] = None
 
 
 class GradientBank:
@@ -247,11 +237,11 @@ def apply_decay(s: SampledGradients, decay: float) -> SampledGradients:
     )
 
 
-def compute_alpha(s: SampledGradients, m: float) -> AlphaWeights:
+def compute_alpha(s: SampledGradients, m: float) -> np.ndarray:
     """Blend the decayed sample average with the decayed recent average.
 
     Both terms are averaged over their sample and spatial axes, leaving a
-    per-channel vector; ``m`` weights the historical side.
+    per-channel (C,) vector; ``m`` weights the historical side.
     """
     if not s.decayed:
         raise BankUsageError("compute_alpha requires decayed gradients")
@@ -259,4 +249,4 @@ def compute_alpha(s: SampledGradients, m: float) -> AlphaWeights:
         raise ValidationError(f"momentum m must lie in [0, 1], got {m}")
     avg_sampled = s.sampled.mean(axis=(0, 2))
     avg_recent = s.recent.mean(axis=(0, 2))
-    return AlphaWeights(alpha=m * avg_sampled + (1.0 - m) * avg_recent, m=m)
+    return m * avg_sampled + (1.0 - m) * avg_recent

@@ -40,8 +40,8 @@ class EncoderConfig:
         if not 0 <= self.insertion_layer < len(self.blocks):
             raise ConfigError(
                 f"insertion_layer {self.insertion_layer} outside [0, {len(self.blocks)})")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
+        if self.in_channels < 1 or self.num_classes < 2:
+            raise ConfigError("in_channels must be >= 1 and num_classes >= 2")
         if self.activation_kind not in ("softmax", "sigmoid"):
             raise ConfigError(f"unknown activation_kind {self.activation_kind!r}")
         t = self.clip_len

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, DimensionError, Tensor, ValidationError
-from .bank import AlphaWeights, GradientBank, apply_decay, compute_alpha
+from .bank import GradientBank, apply_decay, compute_alpha
 
 
 class ConfigurationError(RuntimeError):
@@ -39,7 +39,6 @@ class FsState:
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
     eps_h: float = 1e-12
-    warmup_done: bool = False
     last_lambda: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -97,11 +96,10 @@ def _entropy_op(p: Tensor, kind: str) -> Tensor:
 class FeatureSelector:
     """Encoder hook mapping a feature map to its selected version.
 
-    Owns the gradient bank, the momentum blend coefficient, and the
-    selection state. During training the channel weights are recomputed
-    from the bank every iteration once the bank is full; before that the
-    hook is an exact identity. At evaluation time the frozen weights are
-    used, falling back to the most recent training weights mid-run.
+    Owns the gradient bank, the momentum blend coefficient, the selection
+    state and the one channel-weight vector ``alpha``, which training
+    recomputes from the bank every iteration once the bank is full (before
+    that the hook is an exact identity) and evaluation reads as it stands.
     """
 
     def __init__(self, bank: GradientBank, momentum: float, state: FsState):
@@ -110,21 +108,7 @@ class FeatureSelector:
         self.bank = bank
         self.momentum = momentum
         self.state = state
-        self.current_alpha: Optional[AlphaWeights] = None
-        self.frozen_alpha: Optional[np.ndarray] = None
-
-    def eval_alpha(self) -> Optional[np.ndarray]:
-        if self.frozen_alpha is not None:
-            return self.frozen_alpha
-        if self.current_alpha is not None:
-            return self.current_alpha.alpha
-        return None
-
-    def freeze(self) -> None:
-        """Persist the current channel weights for inference. Called once,
-        at the end of training."""
-        if self.current_alpha is not None:
-            self.frozen_alpha = self.current_alpha.alpha.copy()
+        self.alpha: Optional[np.ndarray] = None  # (C,)
 
     def __call__(self, h: Tensor, mode: str) -> Tensor:
         return fs_forward(h, self.bank, self, mode)
@@ -133,8 +117,9 @@ class FeatureSelector:
 def fs_forward(h: Tensor, bank: GradientBank, sel: FeatureSelector, mode: str) -> Tensor:
     """Full selection pass: weights -> heat map -> entropies -> residual fuse.
 
-    Returns ``h`` unchanged (the same tensor, bit-exact) while the bank is
-    still warming up in training, or when no weights exist yet at eval.
+    Training first sets ``sel.alpha`` from the bank. Returns ``h`` unchanged
+    (the same tensor, bit-exact) while the bank is still warming up in
+    training, or while ``sel.alpha`` is unset at eval.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"mode must be train|eval, got {mode!r}")
@@ -142,17 +127,13 @@ def fs_forward(h: Tensor, bank: GradientBank, sel: FeatureSelector, mode: str) -
     if mode == "train":
         if not bank.is_full:
             return h
-        sampled = apply_decay(bank.sample_top_k(), bank.decay)
-        sel.current_alpha = compute_alpha(sampled, sel.momentum)
-        sel.state.warmup_done = True
-        alpha = sel.current_alpha.alpha
-    else:
-        alpha = sel.eval_alpha()
-        if alpha is None:
-            return h
+        sel.alpha = compute_alpha(apply_decay(bank.sample_top_k(), bank.decay),
+                                  sel.momentum)
+    elif sel.alpha is None:
+        return h
 
     fs = sel.state
-    v = heat_map(h, alpha, fs, mode)
+    v = heat_map(h, sel.alpha, fs, mode)
     pooled = batch_pool(v)
     if fs.activation_kind == "softmax":
         p = ad.softmax(pooled, axis=0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor, ValidationError
-from .bank import AlphaWeights, GradientBank, NonFiniteGradientError
+from .bank import GradientBank, NonFiniteGradientError
 from .data import BinaryReader, Dataset, ParseError
 from .encoder import Encoder, EncoderConfig
 from .metrics import MetricsReport, report
@@ -60,8 +60,8 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("epochs and batch_size must be positive")
+        if self.epochs < 1 or self.batch_size < 1 or self.seed < 0:
+            raise ValidationError("epochs and batch_size must be positive, seed >= 0")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValidationError(f"momentum {self.momentum} outside [0, 1]")
         if not 0.0 < self.decay <= 1.0:
@@ -166,15 +166,20 @@ def _encode(value) -> np.ndarray:
 
 
 def _decode(default, arr: np.ndarray, name: str):
-    """Inverse of ``_encode``, picked by the type of the field's default."""
-    if isinstance(default, tuple):
+    """Inverse of ``_encode``, picked by the type of the field's default.
+    A value that no such field can hold raises ValidationError."""
+    blocks = isinstance(default, tuple)
+    shape_ok = arr.ndim == 2 and arr.shape[1] == len(default[0]) if blocks else arr.size == 1
+    integral = isinstance(default, float) or np.array_equal(arr, np.round(arr))
+    if not (shape_ok and np.isfinite(arr).all() and integral):
+        raise ValidationError(f"checkpoint tensor {name!r} of shape {arr.shape} is "
+                              f"no valid {type(default).__name__} value")
+    if blocks:
         return tuple(tuple(int(x) for x in row) for row in arr)
     v = float(arr.reshape(()))
-    if isinstance(default, str):
-        if v not in (0.0, 1.0):
-            raise ValidationError(f"checkpoint tensor {name!r}: unknown code {v}")
-        return _ACTIVATIONS[int(v)]
-    return type(default)(v)
+    if isinstance(default, (str, bool)) and v not in (0.0, 1.0):
+        raise ValidationError(f"checkpoint tensor {name!r}: unknown code {v}")
+    return _ACTIVATIONS[int(v)] if isinstance(default, str) else type(default)(v)
 
 
 @dataclass
@@ -188,6 +193,14 @@ class Checkpoint:
             return self.tensors[name]
         except KeyError:
             raise ValidationError(f"checkpoint lacks tensor {name!r}") from None
+
+    def tensor_like(self, name: str, like: np.ndarray) -> np.ndarray:
+        """A copy of tensor ``name``, which must have the shape of ``like``."""
+        arr = self.tensor(name)
+        if arr.shape != like.shape:
+            raise ValidationError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                                  f"its config implies {like.shape}")
+        return arr.copy()
 
     def scalar(self, name: str) -> float:
         return float(self.tensor(name).reshape(()))
@@ -252,8 +265,7 @@ def load(path) -> Checkpoint:
 
 def _build_checkpoint(config: TrainConfig, enc: Encoder,
                       sel: Optional[FeatureSelector], moments: AdamMoments,
-                      epoch: int, iteration: int,
-                      frozen_alpha: Optional[np.ndarray]) -> Checkpoint:
+                      epoch: int, iteration: int) -> Checkpoint:
     tensors = _config_tensors(config)
     for name, p in enc.params.items():
         tensors[f"param/{name}"] = p.data.copy()
@@ -270,10 +282,9 @@ def _build_checkpoint(config: TrainConfig, enc: Encoder,
         for idx, (it, grads) in enumerate(sel.bank.snapshot()):
             tensors[f"bank/{idx:04d}/iter"] = np.asarray(float(it))
             tensors[f"bank/{idx:04d}/grads"] = grads
-        if sel.current_alpha is not None:
-            tensors["alpha/current"] = sel.current_alpha.alpha.copy()
-        if frozen_alpha is not None:
-            tensors["alpha/frozen"] = frozen_alpha.copy()
+        if sel.alpha is not None:  # both names kept for the file format
+            tensors["alpha/current"] = sel.alpha.copy()
+            tensors["alpha/frozen"] = sel.alpha.copy()
     return Checkpoint(tensors=tensors)
 
 
@@ -289,32 +300,31 @@ def _make_selector(config: TrainConfig) -> FeatureSelector:
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[TrainConfig, Encoder, Optional[FeatureSelector]]:
-    """Rebuild an evaluable model (frozen weights and statistics) from a
-    checkpoint."""
+    """Rebuild an evaluable model from a checkpoint; the selector's channel
+    weights come from ``alpha/frozen`` and stay unset when it is absent."""
     config = ckpt.config()
+    config.validate()
     enc = Encoder(config.encoder, seed=config.seed)
     for name, p in enc.params.items():
-        p.data = ckpt.tensor(f"param/{name}").copy()
+        p.data = ckpt.tensor_like(f"param/{name}", p.data)
     for i, st in enumerate(enc.bn_states):
-        st.mean = ckpt.tensor(f"state/bn.enc.{i}.mean").copy()
-        st.var = ckpt.tensor(f"state/bn.enc.{i}.var").copy()
+        st.mean = ckpt.tensor_like(f"state/bn.enc.{i}.mean", st.mean)
+        st.var = ckpt.tensor_like(f"state/bn.enc.{i}.var", st.var)
     sel = None
     if config.fs_enabled:
         sel = _make_selector(config)
-        sel.state.bn.mean = ckpt.tensor("state/bn.fs.mean").copy()
-        sel.state.bn.var = ckpt.tensor("state/bn.fs.var").copy()
-        bank_items = sorted(n for n in ckpt.tensors if n.startswith("bank/")
-                            and n.endswith("/iter"))
-        entries = []
-        for name in bank_items:
-            idx = name.split("/")[1]
-            entries.append((int(ckpt.scalar(name)), ckpt.tensor(f"bank/{idx}/grads")))
-        sel.bank.restore(entries)
-        if "alpha/current" in ckpt.tensors:
-            sel.current_alpha = AlphaWeights(
-                alpha=ckpt.tensors["alpha/current"].copy(), m=config.momentum)
-        if "alpha/frozen" in ckpt.tensors:
-            sel.frozen_alpha = ckpt.tensors["alpha/frozen"].copy()
+        bn = sel.state.bn
+        bn.mean = ckpt.tensor_like("state/bn.fs.mean", bn.mean)
+        bn.var = ckpt.tensor_like("state/bn.fs.var", bn.var)
+        iters = sorted(n for n in ckpt.tensors if n.startswith("bank/") and n.endswith("/iter"))
+        entries = [(int(ckpt.scalar(n)), ckpt.tensor(n[:-len("iter")] + "grads"))
+                   for n in iters]
+        try:
+            sel.bank.restore(entries)
+        except ad.DimensionError as e:
+            raise ValidationError(f"checkpoint bank does not fit its config: {e}") from None
+        if ckpt.frozen_alpha is not None:
+            sel.alpha = ckpt.tensor_like("alpha/frozen", bn.mean)
     return config, enc, sel
 
 
@@ -391,10 +401,7 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
         if replace(saved, epochs=0) != replace(config, epochs=0):
             raise ConfigurationError(
                 "resume checkpoint configuration does not match the active one")
-        _, enc, restored_sel = restore_model(resume)
-        if restored_sel is not None:
-            sel = restored_sel
-            sel.frozen_alpha = None  # frozen only at the true end of training
+        _, enc, sel = restore_model(resume)
         for name in enc.params:
             moments.m[name] = resume.tensor(f"adam/m/{name}").copy()
             moments.v[name] = resume.tensor(f"adam/v/{name}").copy()
@@ -434,8 +441,8 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
                 except NonFiniteGradientError as e:
                     raise DivergenceError(iteration, e.sq_norm,
                                           "captured-gradient squared norm") from e
-                if sel.current_alpha is not None and traj is not None:
-                    traj.update(sel.current_alpha.alpha.tobytes())
+                if sel.alpha is not None:
+                    traj.update(sel.alpha.tobytes())
             adam_step(enc.params, {k: p.grad for k, p in enc.params.items()},
                       moments, config)
             loss_sum += loss_val * len(y)
@@ -451,14 +458,9 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
         if val_row.accuracy > best_acc:
             best_acc = val_row.accuracy
             best_epoch = epoch
-            frozen = sel.eval_alpha() if sel is not None else None
-            best = _build_checkpoint(config, enc, sel, moments, epoch,
-                                     iteration, frozen)
+            best = _build_checkpoint(config, enc, sel, moments, epoch, iteration)
 
-    if sel is not None:
-        sel.freeze()
-    final = _build_checkpoint(config, enc, sel, moments, config.epochs, iteration,
-                              sel.frozen_alpha if sel is not None else None)
+    final = _build_checkpoint(config, enc, sel, moments, config.epochs, iteration)
     assert best is not None
     return TrainResult(final=final, best=best, best_epoch=best_epoch, log=log,
                        alpha_trajectory_sha256=traj.hexdigest() if traj else None)
@@ -467,10 +469,9 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
 def predict(ckpt: Checkpoint, ds: Dataset,
             batch_size: int = 64) -> tuple[list[tuple[float, int]], float]:
     """Eval-mode (positive-class probability, label) per clip and the mean
-    loss of a checkpoint's model, using its frozen channel weights only."""
+    loss of a checkpoint's model, selecting with its saved channel weights
+    (none: selection is the identity)."""
     _, enc, sel = restore_model(ckpt)
-    if sel is not None:
-        sel.current_alpha = None
     return _run_eval(enc, sel, ds, batch_size)
 
 

@@ -311,9 +311,9 @@ def test_criterion_4_bank_invariants():
 
     for _ in range(50):  # blend boundaries
         d = apply_decay(sample_set([2, 4], rng), 0.5)
-        np.testing.assert_allclose(compute_alpha(d, 0.0).alpha,
+        np.testing.assert_allclose(compute_alpha(d, 0.0),
                                    d.recent.mean(axis=(0, 2)), atol=1e-15)
-        np.testing.assert_allclose(compute_alpha(d, 1.0).alpha,
+        np.testing.assert_allclose(compute_alpha(d, 1.0),
                                    d.sampled.mean(axis=(0, 2)), atol=1e-15)
 
     _ok(4, "FIFO law x100, decay factors gamma in {0,0.25,0.5,1}, "
@@ -427,7 +427,7 @@ def test_criterion_7_ablation_sweep(default_corpus, tmp_path):
         ckpt = load(out / f"m={m_str}" / "checkpoint.bin")
         _, _, sel = restore_model(ckpt)
         sampled = apply_decay(sel.bank.sample_top_k(), sel.bank.decay)
-        blended = compute_alpha(sampled, m_val).alpha
+        blended = compute_alpha(sampled, m_val)
         closed_form = (sampled.recent.mean(axis=(0, 2)) if m_val == 0.0
                        else sampled.sampled.mean(axis=(0, 2)))
         np.testing.assert_allclose(blended, closed_form, atol=1e-15)

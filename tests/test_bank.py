@@ -6,7 +6,6 @@ import pytest
 
 from eegfs.autodiff import DimensionError
 from eegfs.bank import (
-    AlphaWeights,
     BankUsageError,
     GradientBank,
     NonFiniteGradientError,
@@ -249,13 +248,13 @@ class TestComputeAlpha:
         rng = np.random.default_rng(17)
         d = apply_decay(SampledFactory(rng, ages=[2, 3]), 0.5)
         a = compute_alpha(d, 0.0)
-        np.testing.assert_allclose(a.alpha, d.recent.mean(axis=(0, 2)), atol=1e-15)
+        np.testing.assert_allclose(a, d.recent.mean(axis=(0, 2)), atol=1e-15)
 
     def test_m_one_uses_sampled_only(self):
         rng = np.random.default_rng(18)
         d = apply_decay(SampledFactory(rng, ages=[2, 3]), 0.5)
         a = compute_alpha(d, 1.0)
-        np.testing.assert_allclose(a.alpha, d.sampled.mean(axis=(0, 2)), atol=1e-15)
+        np.testing.assert_allclose(a, d.sampled.mean(axis=(0, 2)), atol=1e-15)
 
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(19)
@@ -274,7 +273,7 @@ class TestComputeAlpha:
                     rec += d.recent[n, c, r]
             rec /= 3 * 5
             want[c] = 0.2 * hist + 0.8 * rec
-        assert np.abs(a.alpha - want).max() < 1e-12
+        assert np.abs(a - want).max() < 1e-12
 
     def test_linearity(self):
         rng = np.random.default_rng(20)
@@ -286,8 +285,8 @@ class TestComputeAlpha:
         for s in (s1, s2, both):
             s.decayed = True
         m = 0.3
-        a = compute_alpha(both, m).alpha
-        want = compute_alpha(s1, m).alpha + compute_alpha(s2, m).alpha
+        a = compute_alpha(both, m)
+        want = compute_alpha(s1, m) + compute_alpha(s2, m)
         assert np.abs(a - want).max() < 1e-12
 
     def test_requires_decay(self):
@@ -320,7 +319,7 @@ class TestVariableBatch:
         assert s.recent.shape == (2, 2, 3)
         assert s.sampled.shape == (2 * 2, 2, 3)
         a = compute_alpha(apply_decay(s, 0.5), 0.2)
-        assert a.alpha.shape == (2,)
+        assert a.shape == (2,)
 
 
 # Production shape: the encoder's default insertion site and batch size.

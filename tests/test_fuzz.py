@@ -1,6 +1,8 @@
 """Bounded fuzz tests of the two binary formats: a corrupted corpus or
 checkpoint file either parses or raises ParseError/ValidationError,
-never a stray exception; a truncated one always raises ParseError."""
+never a stray exception; a truncated one always raises ParseError. Past
+parsing, a checkpoint whose config values are corrupt makes ``config()``
+raise ValidationError, and ``restore_model`` a typed error."""
 
 import math
 import struct
@@ -11,8 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eegfs.autodiff import ValidationError
-from eegfs.data import Dataset, EegClip, ParseError, read, write
-from eegfs.training import Checkpoint, load, save
+from eegfs.data import CorpusSpec, Dataset, EegClip, ParseError, generate, read, split, write
+from eegfs.encoder import ConfigError, EncoderConfig
+from eegfs.training import Checkpoint, TrainConfig, load, restore_model, save, train
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -106,3 +109,57 @@ def test_oversized_dims_parse_or_raise_typed_errors(fmt, data):
     value = data.draw(st.integers(2 ** 8, 2 ** 32 - 1))
     blob[at:at + 4] = struct.pack("<I", value)
     attempt(bytes(blob))
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """Final checkpoint of a tiny run with selection on and its weights set."""
+    ds = generate(CorpusSpec(n_clips=32, channels=2, timestamps=80, n_groups=4,
+                             spike_channel_span=2, seed=3))
+    tr, va, _ = split(ds, (0.5, 0.25, 0.25), by_group=True, seed=1)
+    enc = EncoderConfig(in_channels=2, clip_len=80, blocks=((2, 3, 1, 2), (2, 3, 1, 2)))
+    ckpt = train(TrainConfig(epochs=1, batch_size=4, bank_size=1, encoder=enc), tr, va).final
+    assert ckpt.frozen_alpha is not None
+    return ckpt
+
+
+@pytest.mark.parametrize("name, value", [
+    ("config/epochs", np.asarray(math.nan)),
+    ("config/epochs", np.asarray(math.inf)),
+    ("config/epochs", np.asarray(2.5)),
+    ("config/fs_enabled", np.asarray(0.5)),
+    ("config/enc.blocks", np.ones(4)),
+    ("config/enc.blocks", np.ones((2, 3))),
+    ("config/batch_size", np.ones(2)),
+])
+def test_corrupt_config_value_raises_validation_error(trained, name, value):
+    with pytest.raises(ValidationError, match=name):
+        Checkpoint({**trained.tensors, name: value}).config()
+
+
+# Integers stay small so that any model a corrupt config describes is cheap.
+CONFIG_VALUES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.5, 2.5]),
+                          st.integers(0, 9).map(float))
+
+
+@FUZZ
+@given(data=st.data())
+def test_corrupt_config_values_raise_typed_errors(trained, data):
+    tensors = dict(trained.tensors)
+    name = data.draw(st.sampled_from(sorted(n for n in tensors if n.startswith("config/"))))
+    value = data.draw(CONFIG_VALUES)
+    if data.draw(st.booleans()):  # one element replaced in place
+        arr = tensors[name].copy()
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = value
+    else:  # a value of another shape
+        arr = np.full(data.draw(st.lists(st.integers(0, 3), max_size=3)), value)
+    tensors[name] = arr
+    ckpt = Checkpoint(tensors)
+    try:
+        ckpt.config()
+    except ValidationError:
+        return
+    try:
+        restore_model(ckpt)
+    except (ValidationError, ConfigError):
+        pass

@@ -214,7 +214,7 @@ class TestFsForward:
         sel = _selector(kind=kind, fill=3, rng=rng)
         h = rng.standard_normal((2, 4, 6))
         out = fs_forward(Tensor(h), sel.bank, sel, "train")
-        alpha = sel.current_alpha.alpha
+        alpha = sel.alpha
         want, lam_want = fs_scalar_reference(h, alpha, kind, sel.state.bn_eps)
         assert np.abs(out.data - want).max() < 1e-12
         assert np.abs(sel.state.last_lambda - lam_want).max() < 1e-12
@@ -232,18 +232,6 @@ class TestFsForward:
             lam = sel.state.last_lambda
             assert (lam >= -1e-15).all() and (lam <= 1.0 + 1e-15).all()
             assert (lam == 0.0).any() or (lam == 1.0).all()
-
-    def test_frozen_alpha_used_at_eval(self):
-        rng = np.random.default_rng(15)
-        sel = _selector(fill=3)
-        h = rng.standard_normal((2, 4, 6))
-        fs_forward(Tensor(h), sel.bank, sel, "train")
-        sel.freeze()
-        assert sel.frozen_alpha is not None
-        out1 = fs_forward(Tensor(h), sel.bank, sel, "eval")
-        sel.current_alpha = None  # frozen copy must be self-sufficient
-        out2 = fs_forward(Tensor(h), sel.bank, sel, "eval")
-        np.testing.assert_array_equal(out1.data, out2.data)
 
     def test_differentiable_through_selection_path(self):
         rng = np.random.default_rng(16)

@@ -4,7 +4,7 @@ bookkeeping, determinism, checkpoint round trips, resume equivalence."""
 import gc
 import struct
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -166,9 +166,11 @@ class TestTrainLoop:
         tr, va, _ = tiny_splits
         cfg = _tiny_config(epochs=3, batch_size=8, bank_size=2)
         result = train(cfg, tr, va)
-        assert "alpha/frozen" in result.final.tensors
-        np.testing.assert_array_equal(result.final.tensors["alpha/frozen"],
-                                      result.final.tensors["alpha/current"])
+        resumed = train(cfg, tr, va, resume=train(replace(cfg, epochs=1), tr, va).final)
+        for ckpt in (result.final, result.best, resumed.final):
+            assert "alpha/frozen" in ckpt.tensors
+            np.testing.assert_array_equal(ckpt.tensors["alpha/frozen"],
+                                          ckpt.tensors["alpha/current"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_loss_reports_iteration(self, tiny_splits):
@@ -239,7 +241,7 @@ class TestTapeLifetime:
             backward(loss, tape)
             bank.push(cfg.bank_size + 2, h_l.grad)
             adam_step(enc.params, {k: p.grad for k, p in enc.params.items()}, moments, cfg)
-            assert sel.current_alpha is not None  # the selection path ran on the tape
+            assert sel.alpha is not None  # the selection path ran on the tape
             assert x.tape is tape
             tape_ref = weakref.ref(tape)
             del tape, logits, h_l, loss
@@ -263,7 +265,7 @@ class TestGradientPruning:
             logits, h_l = enc.forward(x, fs=sel, mode="train")
             loss = cross_entropy_logits(logits, [c.label for c in clips])
         backward(loss, tape)
-        assert sel.current_alpha is not None
+        assert sel.alpha is not None
         return {k: p.grad for k, p in enc.params.items()}, h_l.grad, x
 
     def test_input_gradient_does_not_change_other_gradients(self, tiny_splits):

@@ -24,7 +24,6 @@ from .selection import (
     AttributionMap,
     ConfigurationError,
     FeatureSelector,
-    FsState,
     batch_pool,
     export_attribution,
     fs_forward,

@@ -104,31 +104,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Ergonomic operators; all defer to the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 class Tape:
     """Ordered record of operations for one forward pass.
@@ -547,12 +522,6 @@ class BatchNormState:
     def __init__(self, channels: int):
         self.mean = np.zeros(channels)
         self.var = np.ones(channels)
-
-    def copy(self) -> "BatchNormState":
-        s = BatchNormState(len(self.mean))
-        s.mean = self.mean.copy()
-        s.var = self.var.copy()
-        return s
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,

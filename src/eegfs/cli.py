@@ -326,7 +326,7 @@ def cmd_export_attribution(args) -> int:
     clip = matches[0]
 
     enc.forward(Tensor(clip.data[None, :, :]), fs=sel, mode="eval")
-    amap = export_attribution(sel.state, clip, config.encoder.stride_product(),
+    amap = export_attribution(sel, clip, config.encoder.stride_product(),
                               layer=config.encoder.insertion_layer)
     write_attribution_csv(amap, args.out)
     peak = int(np.argmax(amap.upsampled_per_timestamp))

@@ -243,30 +243,19 @@ def split(d: Dataset, ratios: tuple[float, float, float], by_group: bool,
             counts[i] += 1
         return counts
 
-    rng = np.random.default_rng(seed)
-    if by_group:
-        groups = sorted({c.group_id for c in d.clips})
-        n_parts = sum(1 for r in ratios if r > 0)
-        if len(groups) < n_parts:
-            raise ValidationError(
-                f"{len(groups)} groups cannot cover {n_parts} non-empty splits")
-        order = [groups[i] for i in rng.permutation(len(groups))]
-        counts = allot(len(groups))
-        buckets = []
-        at = 0
-        for n in counts:
-            chosen = set(order[at:at + n])
-            at += n
-            buckets.append([c for c in d.clips if c.group_id in chosen])
-    else:
-        order = rng.permutation(len(d.clips))
-        counts = allot(len(d.clips))
-        buckets = []
-        at = 0
-        for n in counts:
-            idx = sorted(order[at:at + n].tolist())
-            at += n
-            buckets.append([d.clips[i] for i in idx])
+    # each part takes whole units: groups, or single clips by index
+    unit_of = [c.group_id for c in d.clips] if by_group else list(range(len(d.clips)))
+    units = sorted(set(unit_of))
+    n_parts = sum(1 for r in ratios if r > 0)
+    if by_group and len(units) < n_parts:
+        raise ValidationError(f"{len(units)} groups cannot cover {n_parts} non-empty splits")
+    order = np.random.default_rng(seed).permutation(len(units))
+    buckets = []
+    at = 0
+    for n in allot(len(units)):
+        chosen = {units[i] for i in order[at:at + n]}
+        at += n
+        buckets.append([c for c, u in zip(d.clips, unit_of) if u in chosen])
 
     def make(clips: list[EegClip]) -> Dataset:
         return Dataset(channels=d.channels, timestamps=d.timestamps,

@@ -85,6 +85,18 @@ class EncoderConfig:
     def flat_features(self) -> int:
         return self.blocks[-1][0] * self.temporal_lengths()[-1]
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every parameter, in the order they are drawn."""
+        shapes: dict[str, tuple[int, ...]] = {}
+        c_in = self.in_channels
+        for i, (c_out, k, _, _) in enumerate(self.blocks):
+            shapes[f"block{i}.conv.w"] = (c_out, c_in, k)
+            shapes[f"block{i}.bn.gamma"] = shapes[f"block{i}.bn.beta"] = (c_out,)
+            c_in = c_out
+        shapes["head.w"] = (self.flat_features(), self.num_classes)
+        shapes["head.b"] = (self.num_classes,)
+        return shapes
+
 
 class Encoder:
     """Parameters plus batch-norm state for one classifier instance.
@@ -98,25 +110,16 @@ class Encoder:
         config.validate()
         self.config = config
         self.params: dict[str, Tensor] = {}
-        self.bn_states: list[BatchNormState] = []
+        self.bn_states = [BatchNormState(c_out) for c_out, *_ in config.blocks]
         rng = np.random.default_rng(seed)
-
-        c_in = config.in_channels
-        for i, (c_out, k, _, _) in enumerate(config.blocks):
-            bound = np.sqrt(6.0 / (c_in * k))
-            self.params[f"block{i}.conv.w"] = Tensor(
-                rng.uniform(-bound, bound, size=(c_out, c_in, k)), requires_grad=True)
-            self.params[f"block{i}.bn.gamma"] = Tensor(np.ones(c_out), requires_grad=True)
-            self.params[f"block{i}.bn.beta"] = Tensor(np.zeros(c_out), requires_grad=True)
-            self.bn_states.append(BatchNormState(c_out))
-            c_in = c_out
-
-        n_flat = config.flat_features()
-        bound = np.sqrt(6.0 / n_flat)
-        self.params["head.w"] = Tensor(
-            rng.uniform(-bound, bound, size=(n_flat, config.num_classes)),
-            requires_grad=True)
-        self.params["head.b"] = Tensor(np.zeros(config.num_classes), requires_grad=True)
+        for name, shape in config.param_shapes().items():
+            if name.endswith(".w"):
+                fan_in = shape[0] if name == "head.w" else shape[1] * shape[2]
+                bound = np.sqrt(6.0 / fan_in)
+                value = rng.uniform(-bound, bound, size=shape)
+            else:
+                value = np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
+            self.params[name] = Tensor(value, requires_grad=True)
 
     def _block(self, i: int, h: Tensor, mode: str) -> Tensor:
         _, _, stride, pool = self.config.blocks[i]
@@ -162,11 +165,3 @@ class Encoder:
             h = self._block(i, h, mode)
         flat = ad.reshape(h, (h.shape[0], cfg.flat_features()))
         return ad.add(ad.matmul(flat, self.params["head.w"]), self.params["head.b"])
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Running statistics keyed for checkpointing."""
-        out = {}
-        for i, st in enumerate(self.bn_states):
-            out[f"bn.enc.{i}.mean"] = st.mean
-            out[f"bn.enc.{i}.var"] = st.var
-        return out

@@ -76,15 +76,9 @@ def auroc(scores: Sequence[tuple[float, int]]) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both a positive and a negative sample")
 
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s))
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0  # 1-based midrank
-        i = j + 1
+    # 1-based midrank: halfway between the first and last rank of each tie run
+    ordered = np.sort(s)
+    ranks = (np.searchsorted(ordered, s, "left") + np.searchsorted(ordered, s, "right") + 1) / 2.0
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -24,29 +24,11 @@ from . import autodiff as ad
 from .autodiff import BatchNormState, DimensionError, Tensor, ValidationError
 from .bank import GradientBank, apply_decay, compute_alpha
 
+_EPS_H = 1e-12  # below this largest entropy every location keeps full weight
+
 
 class ConfigurationError(RuntimeError):
     """Selector used in a mode its state cannot support."""
-
-
-@dataclass
-class FsState:
-    """Mutable per-insertion-site state of the selection module."""
-
-    channels: int
-    activation_kind: str = "softmax"
-    bn: BatchNormState = None  # type: ignore[assignment]
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
-    eps_h: float = 1e-12
-    last_lambda: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.activation_kind not in ("softmax", "sigmoid"):
-            raise ValidationError(
-                f"activation_kind must be softmax|sigmoid, got {self.activation_kind!r}")
-        if self.bn is None:
-            self.bn = BatchNormState(self.channels)
 
 
 @dataclass
@@ -67,11 +49,12 @@ def batch_pool(h: Tensor) -> Tensor:
     return ad.mean_over_axes(h, (0,))
 
 
-def heat_map(h: Tensor, alpha: np.ndarray, fs: FsState, mode: str) -> Tensor:
+def heat_map(h: Tensor, alpha: np.ndarray, sel: "FeatureSelector", mode: str) -> Tensor:
     """Channel-weighted feature map, batch-normalized per channel.
 
     ``alpha`` multiplies each channel of ``h``; the product is normalized
-    with the selector's own running statistics (affine fixed at identity).
+    with ``sel.bn``, the selector's own running statistics, using its
+    ``bn_eps`` and ``bn_momentum`` (affine fixed at identity).
     """
     h = h if isinstance(h, Tensor) else Tensor(h)
     if h.data.ndim != 3:
@@ -82,7 +65,7 @@ def heat_map(h: Tensor, alpha: np.ndarray, fs: FsState, mode: str) -> Tensor:
         raise DimensionError(f"heat_map: alpha shape {alpha.shape} != ({chans},)")
     weighted = ad.mul(h, Tensor(alpha.reshape(chans, 1)))
     return ad.batchnorm(weighted, Tensor(np.ones(chans)), Tensor(np.zeros(chans)),
-                        fs.bn, mode, eps=fs.bn_eps, momentum_bn=fs.bn_momentum)
+                        sel.bn, mode, eps=sel.bn_eps, momentum_bn=sel.bn_momentum)
 
 
 def _entropy_op(p: Tensor, kind: str) -> Tensor:
@@ -94,21 +77,34 @@ def _entropy_op(p: Tensor, kind: str) -> Tensor:
 
 
 class FeatureSelector:
-    """Encoder hook mapping a feature map to its selected version.
+    """Encoder hook mapping a feature map to its selected version: the
+    whole selection module of one insertion site.
 
-    Owns the gradient bank, the momentum blend coefficient, the selection
-    state and the one channel-weight vector ``alpha``, which training
-    recomputes from the bank every iteration once the bank is full (before
-    that the hook is an exact identity) and evaluation reads as it stands.
+    Owns the gradient bank, the momentum blend coefficient ``momentum``,
+    the entropy activation (``activation_kind``, softmax or sigmoid), the
+    heat map's batch-norm running statistics ``bn`` (sized from
+    ``bank.channels``) with their ``bn_eps`` and ``bn_momentum``, the one
+    channel-weight vector ``alpha`` and the location weights of the last
+    pass, ``last_lambda``. Training recomputes ``alpha`` from the bank
+    every iteration once the bank is full (before that the hook is an
+    exact identity); evaluation reads it as it stands.
     """
 
-    def __init__(self, bank: GradientBank, momentum: float, state: FsState):
+    def __init__(self, bank: GradientBank, momentum: float, activation_kind: str = "softmax",
+                 bn_eps: float = 1e-5, bn_momentum: float = 0.1):
         if not 0.0 <= momentum <= 1.0:
             raise ValidationError(f"momentum must lie in [0, 1], got {momentum}")
+        if activation_kind not in ("softmax", "sigmoid"):
+            raise ValidationError(
+                f"activation_kind must be softmax|sigmoid, got {activation_kind!r}")
         self.bank = bank
         self.momentum = momentum
-        self.state = state
-        self.alpha: Optional[np.ndarray] = None  # (C,)
+        self.activation_kind = activation_kind
+        self.bn = BatchNormState(bank.channels)
+        self.bn_eps = bn_eps
+        self.bn_momentum = bn_momentum
+        self.alpha: Optional[np.ndarray] = None        # (C,)
+        self.last_lambda: Optional[np.ndarray] = None  # (S,)
 
     def __call__(self, h: Tensor, mode: str) -> Tensor:
         return fs_forward(h, self.bank, self, mode)
@@ -132,38 +128,38 @@ def fs_forward(h: Tensor, bank: GradientBank, sel: FeatureSelector, mode: str) -
     elif sel.alpha is None:
         return h
 
-    fs = sel.state
-    v = heat_map(h, sel.alpha, fs, mode)
+    v = heat_map(h, sel.alpha, sel, mode)
     pooled = batch_pool(v)
-    if fs.activation_kind == "softmax":
+    if sel.activation_kind == "softmax":
         p = ad.softmax(pooled, axis=0)
     else:
         p = ad.sigmoid(pooled)
-    entropies = _entropy_op(p, fs.activation_kind)
+    entropies = _entropy_op(p, sel.activation_kind)
 
     hmax = ad.max_over_axis(entropies, 0)
-    if float(hmax.data) < fs.eps_h:
+    if float(hmax.data) < _EPS_H:
         lam = Tensor(np.ones(h.shape[2]))
     else:
         lam = ad.sub(1.0, ad.div(entropies, hmax))
-    fs.last_lambda = lam.data.copy()
+    sel.last_lambda = lam.data.copy()
 
     return ad.add(h, ad.mul(v, lam))
 
 
-def export_attribution(fs: FsState, clip, stride_product: int,
+def export_attribution(sel: FeatureSelector, clip, stride_product: int,
                        layer: int = 0) -> AttributionMap:
-    """Expand the last location weights to raw-signal resolution.
+    """Expand the selector's last location weights (``sel.last_lambda``) to
+    raw-signal resolution.
 
     Nearest-neighbor upsampling by the encoder's cumulative temporal
     reduction factor; timestamps past the covered span (convolution edge
     loss) take the last location's weight.
     """
-    if fs.last_lambda is None:
+    if sel.last_lambda is None:
         raise ConfigurationError("no location weights recorded yet; run a forward pass")
     if stride_product < 1:
         raise ValidationError(f"stride_product must be >= 1, got {stride_product}")
-    lam = fs.last_lambda
+    lam = sel.last_lambda
     t_len = clip.data.shape[1]
     idx = np.minimum(np.arange(t_len) // stride_product, len(lam) - 1)
     return AttributionMap(

@@ -19,12 +19,12 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Tensor, ValidationError
-from .bank import GradientBank, NonFiniteGradientError
+from .autodiff import Tensor, ValidationError
+from .bank import BankUsageError, GradientBank, NonFiniteGradientError
 from .data import BinaryReader, Dataset, ParseError
 from .encoder import Encoder, EncoderConfig
 from .metrics import MetricsReport, report
-from .selection import ConfigurationError, FeatureSelector, FsState
+from .selection import ConfigurationError, FeatureSelector
 
 CHECKPOINT_MAGIC = b"IEFS"
 CHECKPOINT_VERSION = 1
@@ -194,20 +194,21 @@ class Checkpoint:
         except KeyError:
             raise ValidationError(f"checkpoint lacks tensor {name!r}") from None
 
-    def tensor_like(self, name: str, like: np.ndarray) -> np.ndarray:
-        """A copy of tensor ``name``, which must have the shape of ``like``."""
+    def tensor_like(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A copy of tensor ``name``, which must have the given shape."""
         arr = self.tensor(name)
-        if arr.shape != like.shape:
+        if arr.shape != shape:
             raise ValidationError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                                  f"its config implies {like.shape}")
+                                  f"its config implies {shape}")
         return arr.copy()
 
-    def scalar(self, name: str) -> float:
-        return float(self.tensor(name).reshape(()))
+    def counter(self, name: str) -> int:
+        """An integer counter; a non-integral value raises ValidationError."""
+        return _decode(0, self.tensor(name), name)
 
     @property
     def epoch(self) -> int:
-        return int(self.scalar("state/epoch"))
+        return self.counter("state/epoch")
 
     @property
     def frozen_alpha(self) -> Optional[np.ndarray]:
@@ -263,22 +264,32 @@ def load(path) -> Checkpoint:
     return Checkpoint(tensors=tensors)
 
 
+def _model_arrays(enc: Encoder, sel: Optional[FeatureSelector]):
+    """(checkpoint name, holder, attribute) of every model array a
+    checkpoint stores: parameters and batch-norm running statistics."""
+    for name, p in enc.params.items():
+        yield f"param/{name}", p, "data"
+    for i, st in enumerate(enc.bn_states):
+        yield f"state/bn.enc.{i}.mean", st, "mean"
+        yield f"state/bn.enc.{i}.var", st, "var"
+    if sel is not None:
+        yield "state/bn.fs.mean", sel.bn, "mean"
+        yield "state/bn.fs.var", sel.bn, "var"
+
+
 def _build_checkpoint(config: TrainConfig, enc: Encoder,
                       sel: Optional[FeatureSelector], moments: AdamMoments,
                       epoch: int, iteration: int) -> Checkpoint:
     tensors = _config_tensors(config)
-    for name, p in enc.params.items():
-        tensors[f"param/{name}"] = p.data.copy()
+    for name, holder, attr in _model_arrays(enc, sel):
+        tensors[name] = getattr(holder, attr).copy()
+    for name in enc.params:
         tensors[f"adam/m/{name}"] = moments.m[name].copy()
         tensors[f"adam/v/{name}"] = moments.v[name].copy()
     tensors["adam/t"] = np.asarray(float(moments.t))
-    for key, arr in enc.state_arrays().items():
-        tensors[f"state/{key}"] = arr.copy()
     tensors["state/epoch"] = np.asarray(float(epoch))
     tensors["state/iteration"] = np.asarray(float(iteration))
     if sel is not None:
-        tensors["state/bn.fs.mean"] = sel.state.bn.mean.copy()
-        tensors["state/bn.fs.var"] = sel.state.bn.var.copy()
         for idx, (it, grads) in enumerate(sel.bank.snapshot()):
             tensors[f"bank/{idx:04d}/iter"] = np.asarray(float(it))
             tensors[f"bank/{idx:04d}/grads"] = grads
@@ -289,42 +300,40 @@ def _build_checkpoint(config: TrainConfig, enc: Encoder,
 
 
 def _make_selector(config: TrainConfig) -> FeatureSelector:
-    chans, spat = config.encoder.feature_shape()
+    ec = config.encoder
+    chans, spat = ec.feature_shape()
     bank = GradientBank(capacity=config.bank_size, top_k=config.top_k,
                         decay=config.decay, channels=chans, spatial=spat)
-    state = FsState(channels=chans,
-                    activation_kind=config.encoder.activation_kind,
-                    bn_eps=config.encoder.bn_eps,
-                    bn_momentum=config.encoder.bn_momentum)
-    return FeatureSelector(bank, config.momentum, state)
+    return FeatureSelector(bank, config.momentum, ec.activation_kind, ec.bn_eps, ec.bn_momentum)
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[TrainConfig, Encoder, Optional[FeatureSelector]]:
-    """Rebuild an evaluable model from a checkpoint; the selector's channel
-    weights come from ``alpha/frozen`` and stay unset when it is absent."""
+    """Rebuild an evaluable model from a checkpoint.
+
+    The stored parameter shapes are checked against the decoded config
+    before the model it describes is allocated; every array that
+    ``_model_arrays`` names is then put back with its shape checked. The
+    selector's channel weights come from ``alpha/frozen`` and stay unset
+    when it is absent. A checkpoint that does not fit its own config
+    raises ValidationError.
+    """
     config = ckpt.config()
     config.validate()
+    for name, shape in config.encoder.param_shapes().items():
+        ckpt.tensor_like(f"param/{name}", shape)
     enc = Encoder(config.encoder, seed=config.seed)
-    for name, p in enc.params.items():
-        p.data = ckpt.tensor_like(f"param/{name}", p.data)
-    for i, st in enumerate(enc.bn_states):
-        st.mean = ckpt.tensor_like(f"state/bn.enc.{i}.mean", st.mean)
-        st.var = ckpt.tensor_like(f"state/bn.enc.{i}.var", st.var)
-    sel = None
-    if config.fs_enabled:
-        sel = _make_selector(config)
-        bn = sel.state.bn
-        bn.mean = ckpt.tensor_like("state/bn.fs.mean", bn.mean)
-        bn.var = ckpt.tensor_like("state/bn.fs.var", bn.var)
+    sel = _make_selector(config) if config.fs_enabled else None
+    for name, holder, attr in _model_arrays(enc, sel):
+        setattr(holder, attr, ckpt.tensor_like(name, getattr(holder, attr).shape))
+    if sel is not None:
         iters = sorted(n for n in ckpt.tensors if n.startswith("bank/") and n.endswith("/iter"))
-        entries = [(int(ckpt.scalar(n)), ckpt.tensor(n[:-len("iter")] + "grads"))
-                   for n in iters]
+        entries = [(ckpt.counter(n), ckpt.tensor(n[:-len("iter")] + "grads")) for n in iters]
         try:
             sel.bank.restore(entries)
-        except ad.DimensionError as e:
-            raise ValidationError(f"checkpoint bank does not fit its config: {e}") from None
+        except (ad.DimensionError, BankUsageError) as e:
+            raise ValidationError(f"checkpoint bank rejected: {e}") from None
         if ckpt.frozen_alpha is not None:
-            sel.alpha = ckpt.tensor_like("alpha/frozen", bn.mean)
+            sel.alpha = ckpt.tensor_like("alpha/frozen", sel.bn.mean.shape)
     return config, enc, sel
 
 
@@ -402,12 +411,12 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
             raise ConfigurationError(
                 "resume checkpoint configuration does not match the active one")
         _, enc, sel = restore_model(resume)
-        for name in enc.params:
-            moments.m[name] = resume.tensor(f"adam/m/{name}").copy()
-            moments.v[name] = resume.tensor(f"adam/v/{name}").copy()
-        moments.t = int(resume.scalar("adam/t"))
+        for name, p in enc.params.items():
+            moments.m[name] = resume.tensor_like(f"adam/m/{name}", p.shape)
+            moments.v[name] = resume.tensor_like(f"adam/v/{name}", p.shape)
+        moments.t = resume.counter("adam/t")
         start_epoch = resume.epoch
-        iteration = int(resume.scalar("state/iteration"))
+        iteration = resume.counter("state/iteration")
         if start_epoch >= config.epochs:
             raise ValidationError(
                 f"checkpoint is already at epoch {start_epoch}; nothing to resume "

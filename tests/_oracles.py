@@ -225,6 +225,25 @@ def auroc_pair_count(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def auroc_midrank_loop(scores, labels):
+    """Rank-sum AUROC with 1-based midranks found by walking each tie run
+    of the stably sorted scores; the same arithmetic as the package's."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(len(s))
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    n_pos = int((y == 1).sum())
+    n_neg = len(y) - n_pos
+    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 def cosine_sim(g1, g2):
     """Cosine similarity of two equal-shape gradients, flattened.
 

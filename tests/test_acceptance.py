@@ -20,7 +20,6 @@ from eegfs.encoder import Encoder, EncoderConfig
 from eegfs.metrics import auroc
 from eegfs.selection import (
     FeatureSelector,
-    FsState,
     export_attribution,
     fs_forward,
 )
@@ -146,7 +145,7 @@ def test_criterion_1_autodiff_soundness():
         enc = Encoder(cfg, seed=trial)
         chans, spat = cfg.feature_shape()
         bank = GradientBank(2, 1, 0.5, chans, spat)
-        sel = FeatureSelector(bank, 0.2, FsState(channels=chans))
+        sel = FeatureSelector(bank, 0.2)
         for j in range(1, 4):
             bank.push(j, rng.standard_normal((2, chans, spat)))
         labels = rng.integers(0, 2, size=2)
@@ -252,7 +251,7 @@ def test_criterion_3_selection_invariants():
     for trial in range(50):
         c, s, b = 4, 6, 2
         bank = GradientBank(2, 1, 0.5, c, s)
-        sel = FeatureSelector(bank, 0.2, FsState(channels=c))
+        sel = FeatureSelector(bank, 0.2)
         h = Tensor(rng.standard_normal((b, c, s)))
         assert fs_forward(h, bank, sel, "train") is h      # warmup
         for j in range(1, 4):
@@ -260,7 +259,7 @@ def test_criterion_3_selection_invariants():
         pattern = rng.standard_normal(c)
         flat = np.broadcast_to(pattern[None, :, None], (b, c, s)).copy()
         out = fs_forward(Tensor(flat), bank, sel, "train")  # equal entropies
-        np.testing.assert_array_equal(sel.state.last_lambda, np.zeros(s))
+        np.testing.assert_array_equal(sel.last_lambda, np.zeros(s))
         np.testing.assert_array_equal(out.data, flat)
 
     _ok(3, f"{checked} randomized cases + 50 identity cases")
@@ -450,7 +449,7 @@ def test_criterion_8_attribution(default_splits, e2e_runs):
         if clip.label != 1 or clip.spike_window is None:
             continue
         enc.forward(Tensor(clip.data[None]), fs=sel, mode="eval")
-        amap = export_attribution(sel.state, clip, factor)
+        amap = export_attribution(sel, clip, factor)
         peak = int(np.argmax(amap.upsampled_per_timestamp))
         lo, hi = clip.spike_window
         hits += int(lo <= peak <= hi)

@@ -7,7 +7,7 @@ import pytest
 from eegfs.autodiff import Tape, Tensor, backward, cross_entropy_logits
 from eegfs.bank import GradientBank
 from eegfs.encoder import ConfigError, Encoder, EncoderConfig
-from eegfs.selection import FeatureSelector, FsState
+from eegfs.selection import FeatureSelector
 
 
 def _tiny_config(**kw):
@@ -20,8 +20,7 @@ def _tiny_config(**kw):
 def _armed_selector(cfg, rng, entries=3, q=2, b=2):
     chans, spat = cfg.feature_shape()
     bank = GradientBank(capacity=q, top_k=1, decay=0.5, channels=chans, spatial=spat)
-    sel = FeatureSelector(bank, 0.2, FsState(channels=chans,
-                                             activation_kind=cfg.activation_kind))
+    sel = FeatureSelector(bank, 0.2, activation_kind=cfg.activation_kind)
     for j in range(1, entries + 1):
         bank.push(j, rng.standard_normal((b, chans, spat)))
     return sel
@@ -101,7 +100,7 @@ class TestForward:
         enc2 = Encoder(cfg, 3)
         chans, spat = cfg.feature_shape()
         bank = GradientBank(capacity=2, top_k=1, decay=0.5, channels=chans, spatial=spat)
-        sel = FeatureSelector(bank, 0.2, FsState(channels=chans))
+        sel = FeatureSelector(bank, 0.2)
         logits_warm, _ = enc2.forward(Tensor(x), fs=sel, mode="train")
         np.testing.assert_array_equal(logits_plain.data, logits_warm.data)
 

@@ -6,6 +6,7 @@ raise ValidationError, and ``restore_model`` a typed error."""
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,18 @@ def trained():
 def test_corrupt_config_value_raises_validation_error(trained, name, value):
     with pytest.raises(ValidationError, match=name):
         Checkpoint({**trained.tensors, name: value}).config()
+
+
+def test_oversized_config_rejected_before_allocating_its_model(trained):
+    ckpt = Checkpoint({**trained.tensors, "config/enc.in_channels": np.asarray(2e6)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="param/block0.conv.w"):
+            restore_model(ckpt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # Integers stay small so that any model a corrupt config describes is cheap.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eegfs.metrics import UndefinedMetricError, auroc, confusion, rates, report
-from _oracles import auroc_pair_count
+from _oracles import auroc_midrank_loop, auroc_pair_count
 
 
 class TestConfusion:
@@ -77,6 +77,17 @@ class TestAuroc:
             got = auroc(scores)
             want = auroc_pair_count([p for p, _ in scores], labels)
             assert abs(got - want) < 1e-12
+
+    def test_bit_identical_to_midrank_loop(self):
+        rng = np.random.default_rng(3)
+        for trial in range(2000):
+            n = int(rng.integers(2, 60))
+            levels = int(rng.integers(1, 12))
+            probs = (rng.integers(0, levels, n) / max(levels - 1, 1) if trial % 2
+                     else rng.random(n))
+            labels = rng.integers(0, 2, n)
+            labels[0], labels[1] = 0, 1
+            assert auroc(list(zip(probs, labels))) == auroc_midrank_loop(probs, labels)
 
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedMetricError):

@@ -10,7 +10,6 @@ from eegfs.selection import (
     AttributionMap,
     ConfigurationError,
     FeatureSelector,
-    FsState,
     batch_pool,
     export_attribution,
     fs_forward,
@@ -34,7 +33,7 @@ def _selector(channels=4, spatial=6, q=2, k=1, decay=0.5, m=0.2, kind="softmax",
     """Selector with an optionally pre-filled bank."""
     bank = GradientBank(capacity=q, top_k=k, decay=decay,
                         channels=channels, spatial=spatial)
-    sel = FeatureSelector(bank, m, FsState(channels=channels, activation_kind=kind))
+    sel = FeatureSelector(bank, m, activation_kind=kind)
     if fill:
         rng = rng or np.random.default_rng(99)
         for j in range(1, fill + 1):
@@ -65,7 +64,7 @@ class TestHeatMap:
     def test_zero_alpha_gives_zeros(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal((3, 4, 5))
-        fs = FsState(channels=4)
+        fs = _selector(channels=4)
         v = heat_map(Tensor(h), np.zeros(4), fs, "train")
         np.testing.assert_array_equal(v.data, np.zeros_like(h))
 
@@ -74,7 +73,7 @@ class TestHeatMap:
         h = rng.standard_normal((16, 3, 8))
         h -= h.mean(axis=(0, 2), keepdims=True)
         h /= h.std(axis=(0, 2), keepdims=True)
-        fs = FsState(channels=3, bn_eps=1e-5)
+        fs = _selector(channels=3)
         v = heat_map(Tensor(h), np.ones(3), fs, "train")
         np.testing.assert_allclose(v.data, h / np.sqrt(1 + 1e-5), atol=1e-12)
 
@@ -82,7 +81,7 @@ class TestHeatMap:
         rng = np.random.default_rng(5)
         h = rng.standard_normal((2, 4, 6))
         alpha = rng.standard_normal(4)
-        fs = FsState(channels=4)
+        fs = _selector(channels=4)
         got = heat_map(Tensor(h), alpha, fs, "train").data
         pre = np.zeros_like(h)
         for i in range(2):
@@ -204,8 +203,8 @@ class TestFsForward:
         h = np.broadcast_to(pattern[None, :, None], (2, 4, 6)).copy()
         h += rng.standard_normal((2, 1, 1))  # per-sample offset, constant per channel
         out = fs_forward(Tensor(h), sel.bank, sel, "train")
-        assert sel.state.last_lambda is not None
-        np.testing.assert_array_equal(sel.state.last_lambda, np.zeros(6))
+        assert sel.last_lambda is not None
+        np.testing.assert_array_equal(sel.last_lambda, np.zeros(6))
         np.testing.assert_array_equal(out.data, h)
 
     @pytest.mark.parametrize("kind", ["softmax", "sigmoid"])
@@ -215,9 +214,9 @@ class TestFsForward:
         h = rng.standard_normal((2, 4, 6))
         out = fs_forward(Tensor(h), sel.bank, sel, "train")
         alpha = sel.alpha
-        want, lam_want = fs_scalar_reference(h, alpha, kind, sel.state.bn_eps)
+        want, lam_want = fs_scalar_reference(h, alpha, kind, sel.bn_eps)
         assert np.abs(out.data - want).max() < 1e-12
-        assert np.abs(sel.state.last_lambda - lam_want).max() < 1e-12
+        assert np.abs(sel.last_lambda - lam_want).max() < 1e-12
 
     def test_lambda_invariants_randomized(self):
         rng = np.random.default_rng(14)
@@ -229,7 +228,7 @@ class TestFsForward:
             sel = _selector(channels=c, spatial=s, kind=kind, fill=3, b=b, rng=rng)
             h = rng.standard_normal((b, c, s)) * rng.uniform(0.1, 10)
             fs_forward(Tensor(h), sel.bank, sel, "train")
-            lam = sel.state.last_lambda
+            lam = sel.last_lambda
             assert (lam >= -1e-15).all() and (lam <= 1.0 + 1e-15).all()
             assert (lam == 0.0).any() or (lam == 1.0).all()
 
@@ -247,7 +246,7 @@ class TestFsForward:
 
 class TestExportAttribution:
     def test_constant_lambda(self):
-        fs = FsState(channels=4)
+        fs = _selector(channels=4)
         fs.last_lambda = np.ones(5)
         clip = _FakeClip(np.zeros((2, 250)), clip_id=7)
         amap = export_attribution(fs, clip, stride_product=50)
@@ -255,7 +254,7 @@ class TestExportAttribution:
         np.testing.assert_array_equal(amap.upsampled_per_timestamp, 1.0)
 
     def test_exact_repeat(self):
-        fs = FsState(channels=4)
+        fs = _selector(channels=4)
         fs.last_lambda = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         clip = _FakeClip(np.zeros((2, 250)), clip_id=1)
         amap = export_attribution(fs, clip, stride_product=50)
@@ -263,7 +262,7 @@ class TestExportAttribution:
             amap.upsampled_per_timestamp, np.repeat(fs.last_lambda, 50))
 
     def test_tail_clamps_to_last_location(self):
-        fs = FsState(channels=2)
+        fs = _selector(channels=2)
         fs.last_lambda = np.array([0.25, 0.75])
         clip = _FakeClip(np.zeros((1, 9)), clip_id=0)
         amap = export_attribution(fs, clip, stride_product=4)
@@ -272,7 +271,7 @@ class TestExportAttribution:
             [0.25, 0.25, 0.25, 0.25, 0.75, 0.75, 0.75, 0.75, 0.75])
 
     def test_missing_lambda_rejected(self):
-        fs = FsState(channels=2)
+        fs = _selector(channels=2)
         with pytest.raises(ConfigurationError):
             export_attribution(fs, _FakeClip(np.zeros((1, 8)), 0), 2)
 

@@ -12,7 +12,7 @@ import pytest
 from eegfs.bank import GradientBank, NonFiniteGradientError
 from eegfs.data import CorpusSpec, ParseError, generate, split
 from eegfs.encoder import Encoder, EncoderConfig
-from eegfs.selection import ConfigurationError, FeatureSelector, FsState
+from eegfs.selection import ConfigurationError, FeatureSelector
 from eegfs.training import (
     AdamMoments,
     Checkpoint,
@@ -56,6 +56,13 @@ def _tiny_corpus(n=64, seed=5):
 def tiny_splits():
     d = _tiny_corpus()
     return split(d, (0.5, 0.25, 0.25), by_group=True, seed=1)
+
+
+@pytest.fixture(scope="module")
+def one_epoch(tiny_splits):
+    """Final checkpoint of a 1-epoch run whose bank holds 3 entries."""
+    tr, va, _ = tiny_splits
+    return train(_tiny_config(epochs=1, batch_size=8, bank_size=2), tr, va).final
 
 
 class TestAdam:
@@ -213,7 +220,7 @@ def _model_with_full_bank(cfg):
     chans, spat = cfg.encoder.feature_shape()
     bank = GradientBank(capacity=cfg.bank_size, top_k=cfg.top_k, decay=cfg.decay,
                         channels=chans, spatial=spat)
-    sel = FeatureSelector(bank, cfg.momentum, FsState(channels=chans))
+    sel = FeatureSelector(bank, cfg.momentum)
     rng = np.random.default_rng(0)
     for it in range(1, cfg.bank_size + 2):
         bank.push(it, rng.standard_normal((8, chans, spat)))
@@ -458,6 +465,15 @@ class TestCheckpointIO:
         assert len(names) == len(sel.bank.entries) == 3
         assert all(g is ckpt.tensors[n] for (_, g), n in zip(sel.bank.entries, names))
 
+    def test_nan_bank_iteration_rejected(self, one_epoch):
+        with pytest.raises(ValidationError, match="bank/0001/iter"):
+            restore_model(Checkpoint({**one_epoch.tensors, "bank/0001/iter": np.asarray(np.nan)}))
+
+    def test_repeated_bank_iteration_rejected(self, one_epoch):
+        tensors = {**one_epoch.tensors, "bank/0001/iter": one_epoch.tensors["bank/0000/iter"]}
+        with pytest.raises(ValidationError, match="bank"):
+            restore_model(Checkpoint(tensors))
+
 
 class TestResume:
     def test_resume_equals_uninterrupted(self, tiny_splits, tmp_path):
@@ -483,6 +499,21 @@ class TestResume:
         bad = _tiny_config(epochs=4, batch_size=8, bank_size=2, lr=5e-4)
         with pytest.raises(ConfigurationError):
             train(bad, tr, va, resume=first.final)
+
+    @pytest.mark.parametrize("name", ["adam/t", "state/epoch", "state/iteration"])
+    def test_nan_counter_rejected(self, tiny_splits, one_epoch, name):
+        tr, va, _ = tiny_splits
+        ckpt = Checkpoint({**one_epoch.tensors, name: np.asarray(np.nan)})
+        with pytest.raises(ValidationError, match=name):
+            train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va, resume=ckpt)
+
+    @pytest.mark.parametrize("name, value", [("adam/m/head.b", np.zeros(1)),
+                                             ("adam/v/head.b", np.asarray(0.0))])
+    def test_wrong_shaped_adam_moment_rejected(self, tiny_splits, one_epoch, name, value):
+        tr, va, _ = tiny_splits
+        ckpt = Checkpoint({**one_epoch.tensors, name: value})
+        with pytest.raises(ValidationError, match=name):
+            train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va, resume=ckpt)
 
     def test_resume_past_budget_rejected(self, tiny_splits):
         tr, va, _ = tiny_splits

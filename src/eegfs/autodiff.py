@@ -19,13 +19,17 @@ raises :class:`TapeUsageError`.
 Broadcasting is restricted to numpy-compatible shapes; gradients of
 broadcast operands are summed back to the operand's shape.
 
-The network kernels are written around few passes over memory. ``conv1d``
-lowers to one GEMM per direction over a channel-major im2col matrix of
-shape (Cin*k, B*T_out). ``batchnorm`` centres its input once and reuses the
-centred copy for the variance and the normalized output; its backward
-reuses the two channel sums it needs for the affine gradients.
-``avg_pool1d`` adds its strided window phases instead of reducing over a
-short inner axis, and its backward writes each phase of the gradient once.
+The network kernels are written around few passes over memory, and a
+forward pass does only the work its output needs; what a backward rule
+alone reads is derived when backward runs. ``conv1d`` lowers to one GEMM
+per direction over a channel-major im2col matrix of shape (Cin*k, B*T_out).
+Train-mode ``batchnorm`` centres its input once and reuses the centred copy
+for the variance and the normalized output; its backward reuses the two
+channel sums it needs for the affine gradients. Eval-mode ``batchnorm`` is
+one per-channel affine ``x * scale + shift`` written into one fresh array.
+``relu`` keeps no mask. ``avg_pool1d`` adds its strided window phases into
+the fresh output instead of reducing over a short inner axis, and its
+backward writes each phase of the gradient once.
 
 A tensor refers to the tape that registered it weakly, so a tape is freed
 as soon as its owner drops it, without waiting for the cyclic collector.
@@ -315,17 +319,17 @@ def div(a, b) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); backward derives the mask ``x > 0`` when it runs."""
     x = _as_tensor(x)
     out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0.0
-    return _record(out, (x,), lambda g: (g * mask,))
+    return _record(out, (x,), lambda g: (g * (x.data > 0.0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s)
     return _record(out, (x,), lambda g: (g * s * (1.0 - s),))
 
@@ -497,10 +501,13 @@ def avg_pool1d(x: Tensor, pool_len: int) -> Tensor:
     # Sum the pool_len strided phases left to right, then divide. Below 8
     # terms numpy's mean sums each window in this order too, so the result
     # matches a per-window mean bit for bit; longer windows agree to rounding.
-    acc = x.data[:, :, 0:span:pool_len].copy()
-    for j in range(1, pool_len):
-        acc += x.data[:, :, j:span:pool_len]
-    acc /= pool_len
+    if pool_len == 1:
+        acc = x.data.copy()
+    else:
+        acc = x.data[:, :, 0:span:pool_len] + x.data[:, :, 1:span:pool_len]
+        for j in range(2, pool_len):
+            acc += x.data[:, :, j:span:pool_len]
+        acc /= pool_len
     out = Tensor(acc)
 
     def rule(g):
@@ -538,6 +545,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     x_hat. Backward forms the two channel sums sum(g) and sum(g * x_hat),
     which are the beta and gamma gradients, and builds the input gradient
     gamma * inv_std * (g - sum(g)/n - x_hat * sum(g * x_hat)/n) from them.
+
+    Eval mode folds the running statistics into the affine (Ioffe & Szegedy
+    2015): scale = gamma * inv_std and shift = beta - mean * scale per
+    channel, and y = x * scale + shift is written into one fresh array. Its
+    backward, which only gradient checks reach, rebuilds x_hat from x.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.data.ndim != 3:
@@ -558,22 +570,25 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         var = np.einsum("bcs,bcs->c", xhat, xhat) / n
         state.mean = (1.0 - momentum_bn) * state.mean + momentum_bn * mu
         state.var = (1.0 - momentum_bn) * state.var + momentum_bn * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat *= inv_std[:, None]
+        y = xhat * gamma.data[:, None]
+        y += beta.data[:, None]
     else:
-        xhat = x.data - state.mean[:, None]
-        var = state.var
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std[:, None]
-    y = xhat * gamma.data[:, None]
-    y += beta.data[:, None]
+        mu = state.mean
+        inv_std = 1.0 / np.sqrt(state.var + eps)
+        scale = gamma.data * inv_std
+        y = x.data * scale[:, None]
+        y += (beta.data - mu * scale)[:, None]
     out = Tensor(y)
 
     def rule(g):
         gbeta = g.sum(axis=(0, 2))
-        ggamma = np.einsum("bcs,bcs->c", g, xhat)
         scale = (gamma.data * inv_std)[:, None]
         if mode == "eval":
-            return (g * scale, ggamma, gbeta)
+            xhat_eval = (x.data - mu[:, None]) * inv_std[:, None]
+            return (g * scale, np.einsum("bcs,bcs->c", g, xhat_eval), gbeta)
+        ggamma = np.einsum("bcs,bcs->c", g, xhat)
         # gamma*inv_std * (g - mean(g) - xhat*mean(g*xhat)), built in place
         gx = xhat * (ggamma / -n)[:, None]
         gx += g

@@ -44,6 +44,10 @@ class EncoderConfig:
             raise ConfigError("in_channels must be >= 1 and num_classes >= 2")
         if self.activation_kind not in ("softmax", "sigmoid"):
             raise ConfigError(f"unknown activation_kind {self.activation_kind!r}")
+        if not 0.0 < self.bn_eps < np.inf:
+            raise ConfigError(f"bn_eps {self.bn_eps} must be finite and > 0")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ConfigError(f"bn_momentum {self.bn_momentum} outside [0, 1]")
         t = self.clip_len
         for i, (c_out, k, stride, pool) in enumerate(self.blocks):
             if c_out < 2:

@@ -66,8 +66,13 @@ class TrainConfig:
             raise ValidationError(f"momentum {self.momentum} outside [0, 1]")
         if not 0.0 < self.decay <= 1.0:
             raise ValidationError(f"decay {self.decay} outside (0, 1]")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ValidationError("lr must be > 0 and weight_decay >= 0")
+        if not (0.0 < self.lr < math.inf and 0.0 <= self.weight_decay < math.inf):
+            raise ValidationError("lr must be finite and > 0, weight_decay finite and >= 0")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0
+                and 0.0 < self.adam_eps < math.inf):
+            raise ValidationError(
+                f"adam_beta1 {self.adam_beta1} and adam_beta2 {self.adam_beta2} must lie "
+                f"in [0, 1), adam_eps {self.adam_eps} be finite and > 0")
         self.encoder.validate()
 
 

@@ -1,6 +1,7 @@
 """Tensor engine tests: op semantics against loop oracles, gradients
 against central finite differences."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -217,6 +218,15 @@ class TestBatchNorm:
         got = batchnorm(Tensor(x), Tensor(gamma), Tensor(beta), state, "eval", eps=1e-5).data
         want = batchnorm_formula(x, gamma, beta, state.mean, state.var, 1e-5)
         assert np.abs(got - want).max() < 1e-12
+        # block 1's feature map at batch 64
+        x = rng.standard_normal((64, 64, 118)) * 3 + 1
+        state = BatchNormState(64)
+        state.mean = rng.standard_normal(64)
+        state.var = rng.uniform(0.1, 4.0, 64)
+        gamma, beta = rng.uniform(0.5, 1.5, 64), rng.standard_normal(64)
+        got = batchnorm(Tensor(x), Tensor(gamma), Tensor(beta), state, "eval", eps=1e-5).data
+        want = batchnorm_formula(x, gamma, beta, state.mean, state.var, 1e-5)
+        assert np.abs(got - want).max() < 1e-12
 
     def test_running_stats_ema_update(self):
         rng = np.random.default_rng(8)
@@ -266,6 +276,14 @@ class TestElementwise:
         p2 = softmax(Tensor(x + 123.456), axis=0).data
         assert np.abs(p1 - p2).max() < 1e-12
 
+    def test_relu_vjp_is_masked_gradient(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((64, 32, 244))
+        x[:, :, ::7] = 0.0
+        g = rng.standard_normal(x.shape)
+        _, (gx,) = _vjp(relu, [x], g)
+        np.testing.assert_array_equal(gx, g * (x > 0))
+
     def test_sigmoid_at_zero(self):
         assert sigmoid(Tensor(np.zeros(3))).data[0] == 0.5
 
@@ -298,7 +316,7 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data, [[[0.5, 2.5, 4.5]]])
 
     @pytest.mark.parametrize("shape", [(5, 3, 23), (64, 32, 244)])
-    @pytest.mark.parametrize("pool_len", [2, 3, 5])
+    @pytest.mark.parametrize("pool_len", [1, 2, 3, 5])
     def test_avg_pool_equals_window_mean_exactly(self, shape, pool_len):
         rng = np.random.default_rng(pool_len)
         x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
@@ -564,3 +582,24 @@ def test_output_contiguous_and_gradient_shapes(name, op, shapes):
     np.testing.assert_array_equal(taped.data, out.data)
     for a, grad in zip(arrays, grads):
         assert grad.shape == a.shape
+
+
+# Each entry: (name, op over (x, gamma, beta)). Ops whose forward pass
+# allocates nothing beyond its output.
+OUTPUT_ONLY_CASES = [
+    ("batchnorm_eval", lambda x, g, b: batchnorm(x, g, b, BatchNormState(64), "eval")),
+    ("relu", lambda x, g, b: relu(x)),
+]
+
+
+@pytest.mark.parametrize("name,op", OUTPUT_ONLY_CASES, ids=[c[0] for c in OUTPUT_ONLY_CASES])
+def test_forward_allocates_only_its_output(name, op):
+    rng = np.random.default_rng(23)
+    args = [Tensor(rng.standard_normal(s)) for s in [(64, 64, 118), (64,), (64,)]]
+    tracemalloc.start()
+    try:
+        out = op(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * out.data.nbytes

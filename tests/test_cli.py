@@ -167,6 +167,12 @@ class TestTrain:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_out_of_range_setting_exits_2_before_training(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        rc, out = _train(tmp_path, data, extra=("bn_momentum=5",))
+        assert rc == 2 and "bn_momentum" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path):
         data = _gen(tmp_path)

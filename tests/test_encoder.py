@@ -47,6 +47,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="out_channels"):
             EncoderConfig(blocks=((1, 3, 1, 1),)).validate()
 
+    @pytest.mark.parametrize("field, value", [("bn_momentum", 5.0), ("bn_momentum", -0.1),
+                                              ("bn_eps", float("nan"))])
+    def test_out_of_range_bn_setting_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            EncoderConfig(**{field: value}).validate()
+
     def test_stride_product(self):
         cfg = EncoderConfig(blocks=((4, 3, 2, 2), (6, 3, 1, 3)), clip_len=64)
         assert cfg.stride_product(0) == 4

@@ -2,6 +2,7 @@
 bookkeeping, determinism, checkpoint round trips, resume equivalence."""
 
 import gc
+import math
 import struct
 import weakref
 from dataclasses import fields, replace
@@ -11,7 +12,7 @@ import pytest
 
 from eegfs.bank import GradientBank, NonFiniteGradientError
 from eegfs.data import CorpusSpec, ParseError, generate, split
-from eegfs.encoder import Encoder, EncoderConfig
+from eegfs.encoder import ConfigError, Encoder, EncoderConfig
 from eegfs.selection import ConfigurationError, FeatureSelector
 from eegfs.training import (
     AdamMoments,
@@ -101,6 +102,16 @@ class TestAdam:
         adam_step(params, grads, moments, cfg)
         assert moments.t == 1
         assert not np.array_equal(params["a"].data, np.ones(3))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0), ("adam_beta2", -1.0),
+        ("adam_eps", 0.0), ("adam_eps", math.nan), ("adam_eps", math.inf),
+        ("lr", math.nan), ("weight_decay", math.nan)])
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            _tiny_config(**{field: value}).validate()
 
 
 class TestTrainLoop:
@@ -468,6 +479,13 @@ class TestCheckpointIO:
     def test_nan_bank_iteration_rejected(self, one_epoch):
         with pytest.raises(ValidationError, match="bank/0001/iter"):
             restore_model(Checkpoint({**one_epoch.tensors, "bank/0001/iter": np.asarray(np.nan)}))
+
+    @pytest.mark.parametrize("name, field, error", [
+        ("config/enc.bn_momentum", "bn_momentum", ConfigError),
+        ("config/adam_beta2", "adam_beta2", ValidationError)])
+    def test_out_of_range_setting_rejected(self, one_epoch, name, field, error):
+        with pytest.raises(error, match=field):
+            restore_model(Checkpoint({**one_epoch.tensors, name: np.asarray(5.0)}))
 
     def test_repeated_bank_iteration_rejected(self, one_epoch):
         tensors = {**one_epoch.tensors, "bank/0001/iter": one_epoch.tensors["bank/0000/iter"]}

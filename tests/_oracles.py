@@ -378,3 +378,47 @@ def check_gradients(build, arrays, rel_tol=1e-6, h=1e-5):
     for t, g_fd in zip(tensors, fd):
         err = np.abs(t.grad - g_fd) / (np.abs(g_fd) + 1e-8)
         assert err.max() < rel_tol, f"gradient mismatch: max rel err {err.max():.3e}"
+
+
+def generate_loop(spec):
+    """The corpus definition drawn one channel and one sinusoid at a time:
+    per clip, a stream seeded by ``seed + clip id`` gives each channel 3
+    uniform(4, 30) Hz frequencies, 3 uniform(0, 2 pi) phases and T
+    normal(0, sigma) samples, then a positive clip's spike draws. Returns
+    (clip_id, group_id, label, data, spike_window) tuples."""
+    n_pos = int(round(spec.n_clips * spec.class_balance))
+    positives = set(np.random.default_rng(spec.seed).permutation(spec.n_clips)[:n_pos].tolist())
+    ts = np.arange(spec.timestamps) / spec.sample_rate
+    clips = []
+    for clip_id in range(spec.n_clips):
+        rng = np.random.default_rng(spec.seed + clip_id)
+        data = np.zeros((spec.channels, spec.timestamps))
+        for c in range(spec.channels):
+            freqs = rng.uniform(4.0, 30.0, size=3)
+            phases = rng.uniform(0.0, 2 * np.pi, size=3)
+            for f, ph in zip(freqs, phases):
+                data[c] += 0.3 * spec.noise_sigma * np.sin(2 * np.pi * f * ts + ph)
+            data[c] += rng.normal(0.0, spec.noise_sigma, size=spec.timestamps)
+        label = int(clip_id in positives)
+        window = _spike_formula(rng, data, spec) if label else None
+        clips.append((clip_id, clip_id % spec.n_groups, label,
+                      data.astype(np.float32).astype(np.float64), window))
+    return clips
+
+
+def _spike_formula(rng, data, spec):
+    """Biphasic transient: Gaussian peak of FWHM w_peak, then a 0.6-deep
+    Gaussian trough, on ``spike_channel_span`` channels from c0."""
+    t_len = data.shape[1]
+    w_peak = rng.uniform(*spec.spike_width_ms) * spec.sample_rate / 1000.0
+    w_trough = rng.uniform(*spec.spike_width_ms) * spec.sample_rate / 1000.0
+    gap = (w_peak + w_trough) / 2.0
+    t0 = rng.uniform(2.0 * w_peak, t_len - 1 - 2.0 * w_trough - gap)
+    t1 = t0 + gap
+    c0 = int(rng.integers(0, spec.channels - spec.spike_channel_span + 1))
+    ts = np.arange(t_len, dtype=np.float64)
+    peak = np.exp(-0.5 * ((ts - t0) / (w_peak / 2.355)) ** 2)
+    trough = np.exp(-0.5 * ((ts - t1) / (w_trough / 2.355)) ** 2)
+    data[c0:c0 + spec.spike_channel_span] += spec.spike_amplitude * (peak - 0.6 * trough)
+    return (max(0, int(np.floor(t0 - 1.5 * w_peak))),
+            min(t_len - 1, int(np.ceil(t1 + 1.5 * w_trough))))

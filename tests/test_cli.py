@@ -124,6 +124,13 @@ class TestGenData:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_zero_sample_rate_exits_2_without_traceback(self, tmp_path, capsys):
+        rc = main(["gen-data", "--out", str(tmp_path / "c.bin"),
+                   "--set", "sample_rate=0"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestTrain:
     def test_artifacts_and_determinism(self, tmp_path):
@@ -171,6 +178,15 @@ class TestTrain:
         data = _gen(tmp_path)
         rc, out = _train(tmp_path, data, extra=("bn_momentum=5",))
         assert rc == 2 and "bn_momentum" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_nan_split_ratio_exits_2_without_traceback(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        capsys.readouterr()
+        rc, out = _train(tmp_path, data, extra=("train_ratio=nan",))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
         assert not (out / "checkpoint.bin").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

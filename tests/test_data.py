@@ -6,6 +6,8 @@ import pytest
 from eegfs.autodiff import ValidationError
 from eegfs.data import CorpusSpec, Dataset, EegClip, ParseError, generate, read, split, write
 
+from _oracles import generate_loop
+
 
 def _small_spec(**kw):
     defaults = dict(n_clips=24, channels=4, timestamps=250, n_groups=6, seed=7)
@@ -60,6 +62,37 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             generate(_small_spec(timestamps=30))  # spike cannot fit
 
+    @pytest.mark.parametrize("field, value", [
+        ("sample_rate", 0),
+        ("noise_sigma", float("nan")),
+        ("noise_sigma", float("inf")),
+        ("spike_amplitude", float("nan")),
+        ("spike_amplitude", float("inf")),
+        ("seed", -1),
+    ])
+    def test_out_of_range_spec_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            generate(_small_spec(**{field: value}))
+
+    @pytest.mark.parametrize("spec", [
+        CorpusSpec(n_clips=300),
+        CorpusSpec(n_clips=30, channels=1, spike_channel_span=1, n_groups=5),
+        CorpusSpec(n_clips=30, sample_rate=97, timestamps=100, n_groups=5),
+        CorpusSpec(n_clips=30, noise_sigma=2.5, spike_amplitude=1.5, n_groups=5),
+        CorpusSpec(n_clips=12, class_balance=0.0, n_groups=3),
+        CorpusSpec(n_clips=12, class_balance=1.0, n_groups=3),
+    ], ids=["default_shape", "one_channel", "odd_rate", "sigma_amplitude",
+            "all_negative", "all_positive"])
+    def test_matches_loop_oracle_bytewise(self, spec):
+        d = generate(spec)
+        expected = generate_loop(spec)
+        assert len(d.clips) == len(expected)
+        for clip, (clip_id, group_id, label, data, window) in zip(d.clips, expected):
+            assert (clip.clip_id, clip.group_id, clip.label) == (clip_id, group_id, label)
+            assert clip.spike_window == window
+            assert clip.data.dtype == np.float64 and clip.data.shape == data.shape
+            assert clip.data.tobytes() == data.tobytes()
+
     def test_data_is_storage_exact(self):
         d = generate(_small_spec())
         for c in d.clips[:4]:
@@ -94,6 +127,12 @@ class TestSplit:
         d = generate(_small_spec())
         with pytest.raises(ValidationError):
             split(d, (0.5, 0.2, 0.2), by_group=True, seed=0)
+
+    @pytest.mark.parametrize("ratios", [(float("nan"), 0.5, 0.5), (0.6, 0.4, float("nan"))])
+    def test_non_finite_ratios_rejected(self, ratios):
+        d = generate(_small_spec())
+        with pytest.raises(ValidationError):
+            split(d, ratios, by_group=False, seed=0)
 
     def test_deterministic(self):
         d = generate(_small_spec(n_clips=60, n_groups=12))

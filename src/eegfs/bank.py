@@ -125,6 +125,7 @@ class GradientBank:
         sq_norm = float(flat @ flat)  # NaN or inf anywhere makes this non-finite
         if not np.isfinite(sq_norm):
             raise NonFiniteGradientError(iteration, sq_norm)
+        grads.flags.writeable = False  # held entries are shared, never written
         self.entries.append((iteration, grads))
         if len(self.entries) > self.capacity + 1:
             evicted, _ = self.entries.popleft()
@@ -211,12 +212,12 @@ class GradientBank:
         return out
 
     def snapshot(self) -> list[tuple[int, np.ndarray]]:
-        """Copy of the queue contents, oldest first, for checkpointing."""
-        return [(it, g.copy()) for it, g in self.entries]
+        """The queue's own read-only arrays, oldest first, shared for checkpointing."""
+        return list(self.entries)
 
     def restore(self, entries: list[tuple[int, np.ndarray]]) -> None:
         """Replace the queue with ``entries``, each checked as by push but
-        held without a copy: the caller hands over the arrays."""
+        held without a copy: the caller hands over the arrays, made read-only."""
         self.entries.clear()
         self._row_norms.clear()
         for it, g in entries:

@@ -32,6 +32,7 @@ from .training import (
     DivergenceError,
     EpochRow,
     TrainConfig,
+    check_dataset_shape,
     load,
     predict,
     restore_model,
@@ -320,6 +321,7 @@ def cmd_export_attribution(args) -> int:
             "checkpoint has no frozen channel weights; train with the "
             "selection module enabled first")
     ds = read(args.data)
+    check_dataset_shape(config.encoder, ds)
     matches = [c for c in ds.clips if c.clip_id == args.clip]
     if not matches:
         raise CliConfigError(f"clip id {args.clip} not present in {args.data}")

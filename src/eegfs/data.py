@@ -9,8 +9,8 @@ corpus definition: per channel, 3 frequencies, 3 phases and T noise
 samples; then, for a positive clip, the spike's draws. Generation fills
 scratch buffers that it reuses across clips.
 
-Sample values are quantized to 32-bit float resolution at creation, so
-the file round trip (which stores 32-bit payloads) is bit-exact.
+Samples are held as float32, the resolution the file stores, so the file
+round trip is bit-exact; the float64 engine widens each batch it stacks.
 """
 
 from __future__ import annotations
@@ -80,14 +80,14 @@ class BinaryReader:
 
 @dataclass
 class EegClip:
-    """One fixed-length clip. ``spike_window`` is in-memory metadata from
-    generation (timestamp range of the injected transient); it is not
-    serialized."""
+    """One fixed-length clip of C-contiguous float32 samples, widened to
+    float64 per batch. ``spike_window`` is in-memory metadata from generation
+    (timestamp range of the injected transient); it is not serialized."""
 
     clip_id: int
     group_id: int
     label: int
-    data: np.ndarray                     # (channels, timestamps) float64
+    data: np.ndarray                     # (channels, timestamps) float32
     spike_window: Optional[tuple[int, int]] = None
 
     def same_content(self, other: "EegClip") -> bool:
@@ -232,7 +232,7 @@ def generate(spec: CorpusSpec) -> Dataset:
             clip_id=clip_id,
             group_id=clip_id % spec.n_groups,
             label=label,
-            data=stored.astype(np.float64),
+            data=stored.copy(),
             spike_window=window,
         ))
     return Dataset(channels=spec.channels, timestamps=spec.timestamps,
@@ -289,7 +289,7 @@ def write(d: Dataset, path) -> None:
                             d.sample_rate, d.n_groups))
         for c in d.clips:
             f.write(struct.pack("<IIB", c.clip_id, c.group_id, c.label))
-            f.write(c.data.astype("<f4").tobytes())
+            f.write(np.ascontiguousarray(c.data, dtype="<f4"))
 
 
 def read(path) -> Dataset:
@@ -304,7 +304,7 @@ def read(path) -> Dataset:
         samples = np.frombuffer(r.take(payload, f"clip {i} samples"), dtype="<f4")
         clips.append(EegClip(
             clip_id=clip_id, group_id=group_id, label=int(label),
-            data=samples.astype(np.float64).reshape(channels, timestamps)))
+            data=samples.reshape(channels, timestamps).astype(np.float32)))
     r.finish()
     return Dataset(channels=channels, timestamps=timestamps, sample_rate=rate,
                    n_groups=n_groups, clips=clips)

@@ -346,13 +346,21 @@ def restore_model(ckpt: Checkpoint) -> tuple[TrainConfig, Encoder, Optional[Feat
 # Loops
 
 
+def check_dataset_shape(encoder: EncoderConfig, ds: Dataset) -> None:
+    """Raise ValidationError unless the dataset's clips fit the encoder's input."""
+    if (ds.channels, ds.timestamps) != (encoder.in_channels, encoder.clip_len):
+        raise ValidationError(
+            f"dataset shape ({ds.channels}, {ds.timestamps}) does not "
+            f"match encoder ({encoder.in_channels}, {encoder.clip_len})")
+
+
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
 def _stack(ds: Dataset, idx) -> tuple[Tensor, np.ndarray]:
-    x = np.stack([ds.clips[i].data for i in idx])
+    x = np.stack([ds.clips[i].data for i in idx], dtype=np.float64)  # one widening pass
     y = np.array([ds.clips[i].label for i in idx], dtype=np.int64)
     return Tensor(x), y
 
@@ -398,11 +406,8 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
     config.validate()
     if not ds_train.clips or not ds_val.clips:
         raise ValidationError("train and validation datasets must be non-empty")
-    if (ds_train.channels != config.encoder.in_channels
-            or ds_train.timestamps != config.encoder.clip_len):
-        raise ValidationError(
-            f"dataset shape ({ds_train.channels}, {ds_train.timestamps}) does not "
-            f"match encoder ({config.encoder.in_channels}, {config.encoder.clip_len})")
+    check_dataset_shape(config.encoder, ds_train)
+    check_dataset_shape(config.encoder, ds_val)
 
     enc = Encoder(config.encoder, seed=config.seed)
     sel = _make_selector(config) if config.fs_enabled else None
@@ -485,7 +490,8 @@ def predict(ckpt: Checkpoint, ds: Dataset,
     """Eval-mode (positive-class probability, label) per clip and the mean
     loss of a checkpoint's model, selecting with its saved channel weights
     (none: selection is the identity)."""
-    _, enc, sel = restore_model(ckpt)
+    config, enc, sel = restore_model(ckpt)
+    check_dataset_shape(config.encoder, ds)
     return _run_eval(enc, sel, ds, batch_size)
 
 

@@ -421,6 +421,15 @@ class TestProductionShape:
         np.testing.assert_array_equal(a.sampled, b.sampled)
         np.testing.assert_array_equal(a.recent, b.recent)
 
+    def test_snapshot_shares_the_read_only_entries(self):
+        bank, _, _ = _production_bank(1)
+        snap = bank.snapshot()
+        assert [it for it, _ in snap] == [it for it, _ in bank.entries]
+        assert all(g is held for (_, g), (_, held) in zip(snap, bank.entries))
+        for _, g in snap:
+            with pytest.raises(ValueError, match="read-only"):
+                g[0, 0, 0] = 1.0
+
     def test_caller_changes_after_push_do_not_reach_the_bank(self):
         bank, following, _ = _production_bank(1)
         kept = following.copy()

@@ -307,6 +307,18 @@ class TestExportAttribution:
         err = capsys.readouterr().err
         assert "config/lr" in err and "Traceback" not in err
 
+    def test_corpus_of_another_shape_exits_2_without_traceback(self, tmp_path, capsys):
+        _, out = self._trained(tmp_path)
+        (tmp_path / "narrow").mkdir()
+        data = _gen(tmp_path / "narrow", extra=("channels=2", "spike_channel_span=2"))
+        capsys.readouterr()
+        rc = main(["export-attribution", "--checkpoint", str(out / "checkpoint.bin"),
+                   "--data", str(data), "--clip", "0", "--out", str(tmp_path / "a.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert "dataset shape (2, 80)" in err
+
     def test_unknown_clip_exits_2(self, tmp_path):
         data, out = self._trained(tmp_path)
         rc = main(["export-attribution", "--checkpoint", str(out / "checkpoint.bin"),

@@ -90,8 +90,17 @@ class TestGenerate:
         for clip, (clip_id, group_id, label, data, window) in zip(d.clips, expected):
             assert (clip.clip_id, clip.group_id, clip.label) == (clip_id, group_id, label)
             assert clip.spike_window == window
-            assert clip.data.dtype == np.float64 and clip.data.shape == data.shape
-            assert clip.data.tobytes() == data.tobytes()
+            assert clip.data.dtype == np.float32 and clip.data.shape == data.shape
+            assert clip.data.tobytes() == data.astype(np.float32).tobytes()
+
+    def test_clips_held_at_storage_resolution(self, tmp_path):
+        d = generate(_small_spec())
+        path = tmp_path / "corpus.bin"
+        write(d, path)
+        for ds in (d, read(path)):
+            for c in ds.clips:
+                assert c.data.dtype == np.float32 and c.data.shape == (4, 250)
+                assert c.data.flags.c_contiguous and c.data.flags.owndata
 
     def test_data_is_storage_exact(self):
         d = generate(_small_spec())

@@ -322,6 +322,17 @@ class TestEvaluate:
         assert all(0.0 <= p <= 1.0 for p, _ in scores) and np.isfinite(loss)
         assert report(scores) == evaluate(ckpt, te)
 
+    def test_dataset_of_another_shape_rejected(self, tiny_splits):
+        tr, va, _ = tiny_splits
+        ckpt = train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va).final
+        narrow = generate(CorpusSpec(n_clips=8, channels=2, timestamps=80, n_groups=2,
+                                     spike_channel_span=2))
+        for fn in (predict, evaluate):
+            with pytest.raises(ValidationError, match=r"dataset shape \(2, 80\)"):
+                fn(ckpt, narrow)
+        with pytest.raises(ValidationError, match=r"dataset shape \(2, 80\)"):
+            train(_tiny_config(), tr, narrow)
+
     def test_single_class_dataset_handled(self, tiny_splits):
         tr, va, te = tiny_splits
         result = train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va)
@@ -331,6 +342,47 @@ class TestEvaluate:
         r = evaluate(result.final, ones)
         assert r.auroc is None
         assert 0.0 <= r.recall <= 1.0
+
+
+class TestResidentData:
+    def test_float32_corpus_trains_as_its_float64_widening(self, tiny_splits, tmp_path):
+        def widened(ds):
+            return replace(ds, clips=[replace(c, data=c.data.astype(np.float64))
+                                      for c in ds.clips])
+
+        tr, va, te = tiny_splits
+        cfg = _tiny_config(epochs=2, batch_size=8, bank_size=2)
+        r32 = train(cfg, tr, va)
+        r64 = train(cfg, widened(tr), widened(va))
+        for name in ("final", "best"):
+            save(getattr(r32, name), tmp_path / "a.bin")
+            save(getattr(r64, name), tmp_path / "b.bin")
+            assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        assert r32.alpha_trajectory_sha256 == r64.alpha_trajectory_sha256
+        assert predict(r32.final, te) == predict(r64.final, widened(te))
+
+    def test_checkpoints_share_read_only_bank_entries(self, tiny_splits, tmp_path):
+        tr, va, _ = tiny_splits
+        cfg = _tiny_config(epochs=4, batch_size=8, bank_size=2)
+        result = train(cfg, tr, va)
+        for ckpt in (result.final, result.best):
+            names = [n for n in ckpt.tensors if n.startswith("bank/") and n.endswith("/grads")]
+            assert len(names) == 3
+            for n in names:
+                with pytest.raises(ValueError, match="read-only"):
+                    ckpt.tensors[n][0, 0, 0] = 1.0
+        # the best checkpoint saves what a run stopped at its epoch saves
+        stopped = train(replace(cfg, epochs=result.best_epoch), tr, va).final
+        stopped.tensors["config/epochs"] = result.best.tensors["config/epochs"]
+        save(result.best, tmp_path / "best.bin")
+        save(stopped, tmp_path / "stopped.bin")
+        assert (tmp_path / "best.bin").read_bytes() == (tmp_path / "stopped.bin").read_bytes()
+        # resuming banks the checkpoint's arrays; later pushes leave it as saved
+        first = train(replace(cfg, epochs=2), tr, va).final
+        save(first, tmp_path / "before.bin")
+        train(cfg, tr, va, resume=first)
+        save(first, tmp_path / "after.bin")
+        assert (tmp_path / "before.bin").read_bytes() == (tmp_path / "after.bin").read_bytes()
 
 
 class TestCheckpointIO:

@@ -19,17 +19,26 @@ raises :class:`TapeUsageError`.
 Broadcasting is restricted to numpy-compatible shapes; gradients of
 broadcast operands are summed back to the operand's shape.
 
-The network kernels are written around few passes over memory, and a
-forward pass does only the work its output needs; what a backward rule
-alone reads is derived when backward runs. ``conv1d`` lowers to one GEMM
-per direction over a channel-major im2col matrix of shape (Cin*k, B*T_out).
-Train-mode ``batchnorm`` centres its input once and reuses the centred copy
-for the variance and the normalized output; its backward reuses the two
-channel sums it needs for the affine gradients. Eval-mode ``batchnorm`` is
-one per-channel affine ``x * scale + shift`` written into one fresh array.
-``relu`` keeps no mask. ``avg_pool1d`` adds its strided window phases into
-the fresh output instead of reducing over a short inner axis, and its
-backward writes each phase of the gradient once.
+The network kernels are written around few passes over memory, and an
+untaped forward pass does only the work its output needs. ``conv1d``
+lowers to one GEMM per direction over a channel-major im2col matrix of
+shape (Cin*k, B*T_out). Train-mode ``batchnorm`` centres its input once
+and reuses the centred copy for the variance and the normalized output;
+its backward reuses the two channel sums it needs for the affine
+gradients. Eval-mode ``batchnorm`` is one per-channel affine ``x * scale +
+shift`` written into one fresh array. Untaped ``relu`` builds no mask.
+``avg_pool1d`` adds its strided window phases into the fresh output
+instead of reducing over a short inner axis, and its backward writes each
+phase of the gradient once.
+
+The tape holds only the leaves with ``requires_grad`` and the captured
+nodes. Any other tensor lives on only in what its consumers' rules keep:
+``conv1d`` its im2col matrix, train-mode ``batchnorm`` x_hat, inv_std and
+gamma, ``relu`` the 1-byte mask, ``mul``/``div`` the operands a live side
+reads, ``matmul`` both operands, and the pooling, reshape, reduction and
+add/sub rules only shapes and arg-max indices. ``backward`` frees each
+interior gradient once its producer's rule has consumed it. Rules never
+modify what they keep, so repeated sweeps over one tape are reproducible.
 
 A tensor refers to the tape that registered it weakly, so a tape is freed
 as soon as its owner drops it, without waiting for the cyclic collector.
@@ -123,7 +132,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[int, tuple[int, ...], Callable]] = []
-        self._tensors: dict[int, Tensor] = {}
+        self._tensors: dict[int, Tensor] = {}  # the tensors backward gives a .grad
         self._next_id = 0
         self._recording = False
         self._entered = False
@@ -157,7 +166,8 @@ class Tape:
             t.tape = self
             t.node_id = self._next_id
             self._next_id += 1
-            self._tensors[t.node_id] = t
+            if t.requires_grad:
+                self._tensors[t.node_id] = t
         assert t.node_id is not None
         return t.node_id
 
@@ -174,6 +184,7 @@ class Tape:
         node_id = self.register(t)
         self.capture_set.add(node_id)
         self._live.add(node_id)
+        self._tensors[node_id] = t
 
 
 def _as_tensor(x) -> Tensor:
@@ -229,7 +240,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     summed: set[int] = set()  # nodes whose gradient buffer backward allocated
     for out_id, in_ids, rule in reversed(tape._records):
-        g_out = grads.get(out_id)
+        # all consumers of out_id have run: its gradient is complete
+        g_out = grads.get(out_id) if out_id in tape._tensors else grads.pop(out_id, None)
         if g_out is None:
             continue
         for node_id, contrib in zip(in_ids, rule(g_out)):
@@ -281,17 +293,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _binary(a, b, opname: str, fwd: Callable, bwd_a: Callable, bwd_b: Callable) -> Tensor:
+def _binary(a, b, opname: str, fwd: Callable, bwd_a: Callable, bwd_b: Callable,
+            reads: tuple[str, str] = ("", "")) -> Tensor:
     """Broadcasting binary op; ``bwd_a``/``bwd_b`` map (g, a, b) to the
-    gradient of one side and run only when that side is live."""
+    gradient of one side and run only when that side is live. The rule
+    keeps only the operands ``reads`` names for live sides, None for others."""
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_check(a.shape, b.shape, opname)
     out = Tensor(fwd(a.data, b.data))
     need_a, need_b = _needs_grad(a), _needs_grad(b)
+    kept = (reads[0] if need_a else "") + (reads[1] if need_b else "")
+    xa, xb = (a.data if "a" in kept else None), (b.data if "b" in kept else None)
+    sa, sb = a.shape, b.shape
 
     def rule(g):
-        return (_unbroadcast(bwd_a(g, a.data, b.data), a.shape) if need_a else None,
-                _unbroadcast(bwd_b(g, a.data, b.data), b.shape) if need_b else None)
+        return (_unbroadcast(bwd_a(g, xa, xb), sa) if need_a else None,
+                _unbroadcast(bwd_b(g, xa, xb), sb) if need_b else None)
 
     return _record(out, (a, b), rule)
 
@@ -310,19 +327,20 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     return _binary(a, b, "mul", lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+                   lambda g, x, y: g * y, lambda g, x, y: g * x, reads=("b", "a"))
 
 
 def div(a, b) -> Tensor:
     return _binary(a, b, "div", lambda x, y: x / y,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y), reads=("b", "ab"))
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); backward derives the mask ``x > 0`` when it runs."""
+    """max(x, 0); taped with a live input, forward keeps the mask ``out > 0``."""
     x = _as_tensor(x)
     out = Tensor(np.maximum(x.data, 0.0))
-    return _record(out, (x,), lambda g: (g * (x.data > 0.0),))
+    mask = out.data > 0.0 if _needs_grad(x) else None
+    return _record(out, (x,), lambda g: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -368,10 +386,11 @@ def mean_over_axes(x: Tensor, axes: Iterable[int]) -> Tensor:
     x = _as_tensor(x)
     axes = tuple(sorted(int(a) % x.data.ndim for a in axes))
     out = Tensor(x.data.mean(axis=axes))
-    count = int(np.prod([x.shape[a] for a in axes])) if axes else 1
+    shape = x.shape
+    count = int(np.prod([shape[a] for a in axes])) if axes else 1
 
     def rule(g):
-        return (np.broadcast_to(np.expand_dims(g, axes), x.shape) / count,)
+        return (np.broadcast_to(np.expand_dims(g, axes), shape) / count,)
 
     return _record(out, (x,), rule)
 
@@ -380,9 +399,10 @@ def sum_over_axes(x: Tensor, axes: Iterable[int]) -> Tensor:
     x = _as_tensor(x)
     axes = tuple(sorted(int(a) % x.data.ndim for a in axes))
     out = Tensor(x.data.sum(axis=axes))
+    shape = x.shape
 
     def rule(g):
-        return (np.broadcast_to(np.expand_dims(g, axes), x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axes), shape).copy(),)
 
     return _record(out, (x,), rule)
 
@@ -392,10 +412,10 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
     x = _as_tensor(x)
     axis = int(axis) % x.data.ndim
     out = Tensor(x.data.max(axis=axis))
-    idx = x.data.argmax(axis=axis)
+    idx, shape = x.data.argmax(axis=axis), x.shape
 
     def rule(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
         return (gx,)
 
@@ -408,7 +428,8 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     if int(np.prod(shape)) != x.size:
         raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
     out = Tensor(x.data.reshape(shape))
-    return _record(out, (x,), lambda g: (g.reshape(x.shape),))
+    in_shape = x.shape
+    return _record(out, (x,), lambda g: (g.reshape(in_shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +530,10 @@ def avg_pool1d(x: Tensor, pool_len: int) -> Tensor:
             acc += x.data[:, :, j:span:pool_len]
         acc /= pool_len
     out = Tensor(acc)
+    in_shape = x.shape
 
     def rule(g):
-        gx = np.empty_like(x.data)
+        gx = np.empty(in_shape)
         gp = g / pool_len
         for j in range(pool_len):
             gx[:, :, j:span:pool_len] = gp
@@ -564,6 +586,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         raise ValidationError(f"batchnorm: eps must be > 0, got {eps}")
 
     n = x.shape[0] * x.shape[2]
+    gam = gamma.data
     if mode == "train":
         mu = x.data.mean(axis=(0, 2))
         xhat = x.data - mu[:, None]  # centred once; scaled into xhat below
@@ -572,31 +595,31 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         state.var = (1.0 - momentum_bn) * state.var + momentum_bn * var
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat *= inv_std[:, None]
-        y = xhat * gamma.data[:, None]
+        y = xhat * gam[:, None]
         y += beta.data[:, None]
+
+        def rule(g):
+            gbeta = g.sum(axis=(0, 2))
+            ggamma = np.einsum("bcs,bcs->c", g, xhat)
+            # gamma*inv_std * (g - mean(g) - xhat*mean(g*xhat)), built in place
+            gx = xhat * (ggamma / -n)[:, None]
+            gx += g
+            gx -= (gbeta / n)[:, None]
+            gx *= (gam * inv_std)[:, None]
+            return (gx, ggamma, gbeta)
     else:
-        mu = state.mean
+        mu, xd = state.mean, x.data
         inv_std = 1.0 / np.sqrt(state.var + eps)
-        scale = gamma.data * inv_std
-        y = x.data * scale[:, None]
+        scale = gam * inv_std
+        y = xd * scale[:, None]
         y += (beta.data - mu * scale)[:, None]
-    out = Tensor(y)
 
-    def rule(g):
-        gbeta = g.sum(axis=(0, 2))
-        scale = (gamma.data * inv_std)[:, None]
-        if mode == "eval":
-            xhat_eval = (x.data - mu[:, None]) * inv_std[:, None]
-            return (g * scale, np.einsum("bcs,bcs->c", g, xhat_eval), gbeta)
-        ggamma = np.einsum("bcs,bcs->c", g, xhat)
-        # gamma*inv_std * (g - mean(g) - xhat*mean(g*xhat)), built in place
-        gx = xhat * (ggamma / -n)[:, None]
-        gx += g
-        gx -= (gbeta / n)[:, None]
-        gx *= scale
-        return (gx, ggamma, gbeta)
+        def rule(g):
+            xhat_eval = (xd - mu[:, None]) * inv_std[:, None]
+            return (g * scale[:, None], np.einsum("bcs,bcs->c", g, xhat_eval),
+                    g.sum(axis=(0, 2)))
 
-    return _record(out, (x, gamma, beta), rule)
+    return _record(Tensor(y), (x, gamma, beta), rule)
 
 
 def cross_entropy_logits(logits: Tensor, labels) -> Tensor:

@@ -372,6 +372,8 @@ def _positive_probs(logits: np.ndarray) -> np.ndarray:
 
 def _run_eval(enc: Encoder, sel: Optional[FeatureSelector], ds: Dataset,
               batch_size: int) -> tuple[list[tuple[float, int]], float]:
+    if not ds.clips:
+        raise ValidationError("evaluation dataset must be non-empty")
     scores: list[tuple[float, int]] = []
     loss_sum = 0.0
     for start in range(0, len(ds.clips), batch_size):

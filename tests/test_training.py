@@ -4,6 +4,7 @@ bookkeeping, determinism, checkpoint round trips, resume equivalence."""
 import gc
 import math
 import struct
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -29,6 +30,7 @@ from eegfs.training import (
     train,
     write_metrics_csv,
 )
+from eegfs import autodiff as ad
 from eegfs.autodiff import Tape, Tensor, ValidationError, backward, cross_entropy_logits
 from eegfs.metrics import report
 from _oracles import adam_scalar_reference
@@ -271,6 +273,87 @@ class TestTapeLifetime:
                 gc.enable()
 
 
+class TestTapeResiduals:
+    """The tape keeps only what backward reads, and backward frees interior
+    gradients as it goes (default encoder, batch 64, no selector)."""
+
+    @staticmethod
+    def _named_residual_bytes(cfg, batch):
+        """Bytes of each block's im2col matrix, x_hat and ReLU mask, the
+        captured map, the head input and the batch itself."""
+        total = batch * cfg.in_channels * cfg.clip_len * 8
+        c_in, t = cfg.in_channels, cfg.clip_len
+        for i, (c_out, k, stride, pool) in enumerate(cfg.blocks):
+            t_conv = (t - k) // stride + 1
+            total += batch * t_conv * (c_in * k * 8 + c_out * 8 + c_out)
+            c_in, t = c_out, t_conv // pool
+            if i == cfg.insertion_layer:
+                total += batch * c_out * t * 8
+        return total + batch * cfg.flat_features() * 8
+
+    @staticmethod
+    def _taped_forward(enc, batch):
+        x = Tensor(np.random.default_rng(3).standard_normal(
+            (batch, enc.config.in_channels, enc.config.clip_len)))
+        tape = Tape()
+        with tape:
+            logits, h_l = enc.forward(x, mode="train")
+            loss = cross_entropy_logits(logits, np.arange(batch) % 2)
+        return tape, loss, h_l
+
+    def _traced_step(self):
+        """Bytes traced after a batch-64 taped forward, and the traced peak
+        during its backward."""
+        enc = Encoder(EncoderConfig(), seed=0)
+        tracemalloc.start()
+        try:
+            tape, loss, h_l = self._taped_forward(enc, 64)
+            retained = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h_l.grad.shape == h_l.shape
+        return enc.config, retained, peak
+
+    def test_forward_retains_only_named_residuals(self):
+        cfg, retained, _ = self._traced_step()
+        assert retained <= 1.05 * self._named_residual_bytes(cfg, 64)
+
+    def test_backward_peak_is_bounded(self):
+        assert self._traced_step()[2] <= 62e6
+
+    def test_batchnorm_output_dies_with_forward(self, monkeypatch):
+        outputs, original = [], ad.batchnorm
+
+        def batchnorm(*args, **kwargs):
+            out = original(*args, **kwargs)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(ad, "batchnorm", batchnorm)
+        tape, loss, _ = self._taped_forward(Encoder(EncoderConfig(), seed=0), 8)
+        assert len(outputs) == 2
+        assert outputs[0]() is None  # block 0's output; the tape and loss are still held
+
+    def test_two_sweeps_with_armed_selector_identical(self, tiny_splits):
+        clips = tiny_splits[0].clips[:8]
+        enc, _, sel = _model_with_full_bank(_tiny_config())
+        tape = Tape()
+        with tape:
+            logits, h_l = enc.forward(Tensor(np.stack([c.data for c in clips])), fs=sel,
+                                      mode="train")
+            loss = cross_entropy_logits(logits, [c.label for c in clips])
+        assert sel.alpha is not None
+        backward(loss, tape)
+        first = {k: p.grad for k, p in enc.params.items()}, h_l.grad
+        backward(loss, tape)
+        for name, g in first[0].items():
+            np.testing.assert_array_equal(enc.params[name].grad, g)
+        np.testing.assert_array_equal(h_l.grad, first[1])
+
+
 class TestGradientPruning:
     @staticmethod
     def _step(clips, x_requires_grad):
@@ -332,6 +415,12 @@ class TestEvaluate:
                 fn(ckpt, narrow)
         with pytest.raises(ValidationError, match=r"dataset shape \(2, 80\)"):
             train(_tiny_config(), tr, narrow)
+
+    def test_empty_dataset_rejected(self, one_epoch, tiny_splits):
+        empty = replace(tiny_splits[2], clips=[])
+        for fn in (predict, evaluate):
+            with pytest.raises(ValidationError, match="non-empty"):
+                fn(one_epoch, empty)
 
     def test_single_class_dataset_handled(self, tiny_splits):
         tr, va, te = tiny_splits

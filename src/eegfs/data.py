@@ -6,8 +6,14 @@ sharp transient injected on a contiguous span of channels. Generation
 is a pure function of the spec: every clip draws from its own stream
 seeded by ``base seed + clip id``, in an order that is part of the
 corpus definition: per channel, 3 frequencies, 3 phases and T noise
-samples; then, for a positive clip, the spike's draws. Generation fills
-scratch buffers that it reuses across clips.
+samples; then, for a positive clip, the spike's draws.
+
+Generation runs in two stages at once, over chunks of ``_CHUNK`` clips
+in two alternating buffer sets. The calling thread draws each clip's
+stream into one set while a single worker thread turns the previous
+chunk into waveforms with chunk-wide array ops, which release the GIL.
+Each sample is computed by the same operations in the same order as a
+clip-by-clip build, so the corpus is byte-identical to it.
 
 Samples are held as float32, the resolution the file stores, so the file
 round trip is bit-exact; the float64 engine widens each batch it stacks.
@@ -16,6 +22,7 @@ round trip is bit-exact; the float64 engine widens each batch it stacks.
 from __future__ import annotations
 
 import struct
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -163,32 +170,112 @@ class CorpusSpec:
 
 _SINE_AMPLITUDE = 0.3   # relative to noise_sigma
 _TROUGH_RATIO = 0.6     # trough depth relative to peak
+_CHUNK = 16             # clips handed from the draw stage to the math stage at a time
 
 
-def _inject_spike(rng: np.random.Generator, data: np.ndarray,
-                  spec: CorpusSpec) -> tuple[int, int]:
-    """Add one biphasic transient (positive peak, then trough) on a
-    contiguous channel span; returns the affected timestamp window."""
-    t_len = data.shape[1]
+def _spike_draws(rng: np.random.Generator, spec: CorpusSpec):
+    """Draw one biphasic transient in stream order: peak and trough widths
+    (FWHM), peak time, first channel. Returns the shape parameters
+    (t0, t1, sig_p, sig_t), the first channel and the affected timestamp
+    window."""
+    t_len = spec.timestamps
     rate = spec.sample_rate
     w_peak = rng.uniform(*spec.spike_width_ms) * rate / 1000.0   # samples (FWHM)
     w_trough = rng.uniform(*spec.spike_width_ms) * rate / 1000.0
-    sig_p = w_peak / 2.355
-    sig_t = w_trough / 2.355
     gap = (w_peak + w_trough) / 2.0
     lead = 2.0 * w_peak
     tail = 2.0 * w_trough
     t0 = rng.uniform(lead, t_len - 1 - tail - gap)
     t1 = t0 + gap
     c0 = int(rng.integers(0, spec.channels - spec.spike_channel_span + 1))
+    window = (max(0, int(np.floor(t0 - 1.5 * w_peak))),
+              min(t_len - 1, int(np.ceil(t1 + 1.5 * w_trough))))
+    return (t0, t1, w_peak / 2.355, w_trough / 2.355), c0, window
 
-    ts = np.arange(t_len, dtype=np.float64)
-    shape = (np.exp(-0.5 * ((ts - t0) / sig_p) ** 2)
-             - _TROUGH_RATIO * np.exp(-0.5 * ((ts - t1) / sig_t) ** 2))
-    data[c0:c0 + spec.spike_channel_span] += spec.spike_amplitude * shape
-    start = max(0, int(np.floor(t0 - 1.5 * w_peak)))
-    end = min(t_len - 1, int(np.ceil(t1 + 1.5 * w_trough)))
-    return start, end
+
+class _Chunk:
+    """One chunk's buffers. The draw stage fills ``u``, ``noise`` and the
+    spike draws; the math stage turns them into float32 ``stored``."""
+
+    def __init__(self, chans: int, t_len: int):
+        self.u = np.empty((_CHUNK, chans, 6))      # per channel: 3 frequency, 3 phase uniforms
+        self.noise = np.empty((_CHUNK, chans, t_len))
+        self.waves = np.empty((3, _CHUNK, chans, t_len))   # one block per sinusoid
+        self.stored = np.empty((_CHUNK, chans, t_len), dtype=np.float32)
+        self.spikes = np.empty((_CHUNK, 4))        # t0, t1, sig_p, sig_t per positive clip
+        self.spike_at = np.empty((_CHUNK, 2), dtype=np.intp)   # its chunk row, first channel
+        self.shapes = np.empty((2, _CHUNK, t_len))  # peak and trough of each transient
+        self.first = 0
+        self.n_spikes = 0
+        self.windows: list[Optional[tuple[int, int]]] = []   # per clip; None: negative
+
+
+def _draw(b: _Chunk, spec: CorpusSpec, first: int, positives: set) -> None:
+    """Draw stage: each clip's stream, in the corpus order, into ``b``."""
+    b.first = first
+    b.n_spikes = 0
+    b.windows = []
+    for k, clip_id in enumerate(range(first, min(first + _CHUNK, spec.n_clips))):
+        rng = np.random.default_rng(spec.seed + clip_id)
+        for c in range(spec.channels):
+            rng.random(out=b.u[k, c])
+            rng.standard_normal(out=b.noise[k, c])
+        window = None
+        if clip_id in positives:
+            b.spikes[b.n_spikes], c0, window = _spike_draws(rng, spec)
+            b.spike_at[b.n_spikes] = k, c0
+            b.n_spikes += 1
+        b.windows.append(window)
+
+
+def _waveforms(b: _Chunk, spec: CorpusSpec, samples: np.ndarray, times: np.ndarray) -> None:
+    """Math stage: turn a drawn chunk into float32 waveforms with chunk-wide
+    array ops, each writing into ``b``, in the per-clip arithmetic order.
+    ``samples`` is 0..T-1 and ``times`` is samples / sample rate.
+
+    numpy draws uniform(lo, hi) as lo + (hi - lo) * u and normal(0, s) as
+    0 + s * z, so the scaled raw draws reproduce the per-call draws bit
+    for bit."""
+    n = len(b.windows)
+    sigma = spec.noise_sigma
+    u, noise, waves = b.u[:n], b.noise[:n], b.waves[:, :n]
+    noise *= sigma                                         # normal(0, sigma)
+    omega, phase = u[..., :3], u[..., 3:]
+    omega *= 26.0                                          # uniform(4, 30) Hz
+    omega += 4.0
+    omega *= 2 * np.pi
+    phase *= 2 * np.pi                                     # uniform(0, 2 pi)
+    np.multiply(np.moveaxis(omega, -1, 0)[..., None], times, out=waves)
+    waves += np.moveaxis(phase, -1, 0)[..., None]
+    np.sin(waves, out=waves)
+    waves *= _SINE_AMPLITUDE * sigma
+    data = waves[0]                                        # sums in place, in this order
+    data += waves[1]
+    data += waves[2]
+    data += noise
+    if b.n_spikes:
+        _add_spikes(b, data, spec, samples)
+    np.copyto(b.stored[:n], data)                          # storage resolution
+
+
+def _add_spikes(b: _Chunk, data: np.ndarray, spec: CorpusSpec, samples: np.ndarray) -> None:
+    """Add each drawn biphasic transient (a positive Gaussian peak, then a
+    shallower Gaussian trough) to its clip's contiguous channel span."""
+    m = b.n_spikes
+    t0, t1, sig_p, sig_t = np.split(b.spikes[:m], 4, axis=1)
+    peak, trough = b.shapes[:, :m]
+    for shape, centre, sig in ((peak, t0, sig_p), (trough, t1, sig_t)):
+        np.subtract(samples, centre, out=shape)            # exp(-0.5 ((t - c) / sig) ** 2)
+        shape /= sig
+        np.square(shape, out=shape)
+        shape *= -0.5
+        np.exp(shape, out=shape)
+    trough *= _TROUGH_RATIO
+    peak -= trough
+    peak *= spec.spike_amplitude
+    span = spec.spike_channel_span
+    for (k, c0), shape in zip(b.spike_at[:m].tolist(), peak):
+        data[k, c0:c0 + span] += shape
 
 
 def generate(spec: CorpusSpec) -> Dataset:
@@ -198,43 +285,31 @@ def generate(spec: CorpusSpec) -> Dataset:
     label_rng = np.random.default_rng(spec.seed)
     positives = set(label_rng.permutation(spec.n_clips)[:n_pos].tolist())
 
-    chans, t_len, sigma = spec.channels, spec.timestamps, spec.noise_sigma
-    ts = np.arange(t_len) / spec.sample_rate
-    # Scratch reused by every clip: fresh ~100 KB arrays per clip raised peak RSS.
-    # numpy draws uniform(lo, hi) as lo + (hi - lo) * u and normal(0, s) as 0 + s * z,
-    # so the scaled raw draws below reproduce the per-call draws' sums bit for bit.
-    u = np.empty((chans, 6))             # per channel: 3 frequency, 3 phase uniforms
-    noise = np.empty((chans, t_len))
-    waves = np.empty((chans, 3, t_len))
-    stored = np.empty((chans, t_len), dtype=np.float32)
+    # Everything that outlives a chunk is allocated on this thread: glibc
+    # gives the worker its own malloc arena, and clips allocated there
+    # raised peak RSS.
+    chunks = (_Chunk(spec.channels, spec.timestamps), _Chunk(spec.channels, spec.timestamps))
+    samples = np.arange(spec.timestamps, dtype=np.float64)
+    times = samples / spec.sample_rate
     clips = []
-    for clip_id in range(spec.n_clips):
-        rng = np.random.default_rng(spec.seed + clip_id)
-        for c in range(chans):
-            rng.random(out=u[c])
-            rng.standard_normal(out=noise[c])
-        noise *= sigma                                     # normal(0, sigma)
-        omega = 2 * np.pi * (4.0 + 26.0 * u[:, :3])        # uniform(4, 30) Hz
-        np.multiply(omega[:, :, None], ts, out=waves)
-        waves += 2 * np.pi * u[:, 3:, None]                # uniform(0, 2 pi) phases
-        np.sin(waves, out=waves)
-        waves *= _SINE_AMPLITUDE * sigma
-        data = waves[:, 0]                                 # sums in place, in this order
-        data += waves[:, 1]
-        data += waves[:, 2]
-        data += noise
-        window = None
-        label = int(clip_id in positives)
-        if label:
-            window = _inject_spike(rng, data, spec)
-        stored[...] = data                                 # storage resolution
-        clips.append(EegClip(
-            clip_id=clip_id,
-            group_id=clip_id % spec.n_groups,
-            label=label,
-            data=stored.copy(),
-            spike_window=window,
-        ))
+
+    def keep(b: _Chunk, built: Future) -> None:
+        built.result()
+        for k, window in enumerate(b.windows):
+            clip_id = b.first + k
+            clips.append(EegClip(clip_id=clip_id, group_id=clip_id % spec.n_groups,
+                                 label=int(window is not None), data=b.stored[k].copy(),
+                                 spike_window=window))
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for i, first in enumerate(range(0, spec.n_clips, _CHUNK)):
+            b = chunks[i % 2]
+            _draw(b, spec, first, positives)      # while the worker builds chunk i - 1
+            if pending is not None:
+                keep(*pending)
+            pending = (b, worker.submit(_waveforms, b, spec, samples, times))
+        keep(*pending)
     return Dataset(channels=spec.channels, timestamps=spec.timestamps,
                    sample_rate=spec.sample_rate, n_groups=spec.n_groups, clips=clips)
 
@@ -281,7 +356,13 @@ def split(d: Dataset, ratios: tuple[float, float, float], by_group: bool,
 
 def write(d: Dataset, path) -> None:
     """Binary layout: magic, u16 version, u32 header fields, then per clip
-    u32 clip_id, u32 group_id, u8 label and little-endian f32 samples."""
+    u32 clip_id, u32 group_id, u8 label and little-endian f32 samples.
+    Every clip's shape is checked before the file is opened."""
+    shape = (d.channels, d.timestamps)
+    for i, c in enumerate(d.clips):
+        if np.shape(c.data) != shape:
+            raise ValidationError(f"clip {i} (id {c.clip_id}) has shape {np.shape(c.data)}, "
+                                  f"expected the dataset's {shape}")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<H", FORMAT_VERSION))

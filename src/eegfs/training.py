@@ -395,6 +395,33 @@ class TrainResult:
     alpha_trajectory_sha256: Optional[str]
 
 
+def _train_step(config: TrainConfig, enc: Encoder, sel: Optional[FeatureSelector],
+                moments: AdamMoments, traj, ds: Dataset, idx,
+                iteration: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """One optimisation step on the clips ``idx``; returns the batch loss,
+    the positive-class probabilities and the labels. The step's tape and
+    activations are freed when it returns, before anything else runs."""
+    x, y = _stack(ds, idx)
+    tape = ad.Tape()
+    with tape:
+        logits, h_l = enc.forward(x, fs=sel, mode="train")
+        loss = ad.cross_entropy_logits(logits, y)
+    loss_val = loss.item()
+    if not np.isfinite(loss_val):
+        raise DivergenceError(iteration, loss_val)
+    ad.backward(loss, tape)
+    if sel is not None:
+        try:
+            sel.bank.push(iteration, h_l.grad)
+        except NonFiniteGradientError as e:
+            raise DivergenceError(iteration, e.sq_norm,
+                                  "captured-gradient squared norm") from e
+        if sel.alpha is not None:
+            traj.update(sel.alpha.tobytes())
+    adam_step(enc.params, {k: p.grad for k, p in enc.params.items()}, moments, config)
+    return loss_val, _positive_probs(logits.data), y
+
+
 def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
           resume: Optional[Checkpoint] = None) -> TrainResult:
     """Full training run; returns the final checkpoint, the best-validation
@@ -447,28 +474,11 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
         n_seen = 0
         for idx in _batches(len(ds_train.clips), config.batch_size, rng):
             iteration += 1
-            x, y = _stack(ds_train, idx)
-            tape = ad.Tape()
-            with tape:
-                logits, h_l = enc.forward(x, fs=sel, mode="train")
-                loss = ad.cross_entropy_logits(logits, y)
-            loss_val = loss.item()
-            if not np.isfinite(loss_val):
-                raise DivergenceError(iteration, loss_val)
-            ad.backward(loss, tape)
-            if sel is not None:
-                try:
-                    sel.bank.push(iteration, h_l.grad)
-                except NonFiniteGradientError as e:
-                    raise DivergenceError(iteration, e.sq_norm,
-                                          "captured-gradient squared norm") from e
-                if sel.alpha is not None:
-                    traj.update(sel.alpha.tobytes())
-            adam_step(enc.params, {k: p.grad for k, p in enc.params.items()},
-                      moments, config)
+            loss_val, probs, y = _train_step(config, enc, sel, moments, traj,
+                                             ds_train, idx, iteration)
             loss_sum += loss_val * len(y)
             n_seen += len(y)
-            for p, label in zip(_positive_probs(logits.data), y):
+            for p, label in zip(probs, y):
                 train_scores.append((float(p), int(label)))
 
         log.append(EpochRow.from_scores(epoch, "train", loss_sum / n_seen, train_scores))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eegfs import cli
 from eegfs.cli import (
     CliConfigError,
     corpus_spec_from,
@@ -130,6 +131,21 @@ class TestGenData:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_clip_of_wrong_shape_exits_2_without_writing(self, tmp_path, monkeypatch, capsys):
+        real = cli.generate
+
+        def short_clip(spec):
+            d = real(spec)
+            d.clips[1].data = d.clips[1].data[:, :200].copy()
+            return d
+
+        monkeypatch.setattr(cli, "generate", short_clip)
+        out = tmp_path / "c.bin"
+        rc = main(["gen-data", "--out", str(out), "--set", "n_clips=4", "--set", "n_groups=2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: clip 1") and not out.exists()
 
 
 class TestTrain:

@@ -1,8 +1,12 @@
 """Corpus generation, splitting, and file-format tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from eegfs import data as data_module
 from eegfs.autodiff import ValidationError
 from eegfs.data import CorpusSpec, Dataset, EegClip, ParseError, generate, read, split, write
 
@@ -13,6 +17,10 @@ def _small_spec(**kw):
     defaults = dict(n_clips=24, channels=4, timestamps=250, n_groups=6, seed=7)
     defaults.update(kw)
     return CorpusSpec(**defaults)
+
+
+_CHUNK = data_module._CHUNK
+_CHUNK_SIZES = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
 
 
 class TestGenerate:
@@ -81,8 +89,13 @@ class TestGenerate:
         CorpusSpec(n_clips=30, noise_sigma=2.5, spike_amplitude=1.5, n_groups=5),
         CorpusSpec(n_clips=12, class_balance=0.0, n_groups=3),
         CorpusSpec(n_clips=12, class_balance=1.0, n_groups=3),
+    ] + [
+        # chunk boundaries of the two-stage pipeline, spike windows included
+        CorpusSpec(n_clips=n, channels=4, class_balance=balance, n_groups=1, seed=3)
+        for n in _CHUNK_SIZES for balance in (0.0, 0.5, 1.0)
     ], ids=["default_shape", "one_channel", "odd_rate", "sigma_amplitude",
-            "all_negative", "all_positive"])
+            "all_negative", "all_positive"] + [
+        f"chunk_n{n}_balance{balance}" for n in _CHUNK_SIZES for balance in (0.0, 0.5, 1.0)])
     def test_matches_loop_oracle_bytewise(self, spec):
         d = generate(spec)
         expected = generate_loop(spec)
@@ -106,6 +119,62 @@ class TestGenerate:
         d = generate(_small_spec())
         for c in d.clips[:4]:
             assert np.array_equal(c.data, c.data.astype(np.float32).astype(np.float64))
+
+
+class TestPipelineThreads:
+    """Generation's math-stage worker thread is joined whether it returns or raises."""
+
+    N_CLIPS = 2 * _CHUNK + 3
+
+    def test_worker_joined_on_return(self):
+        before = threading.active_count()
+        generate(_small_spec(n_clips=self.N_CLIPS))
+        assert threading.active_count() == before
+
+    def test_rapid_thread_switching_changes_no_byte(self):
+        """The two stages share only the buffer set a future hands over;
+        switching threads every microsecond must not change the corpus."""
+        spec = _small_spec(n_clips=self.N_CLIPS)
+        expected = generate(spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            d = generate(spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert d.same_content(expected)
+        assert [c.spike_window for c in d.clips] == [c.spike_window for c in expected.clips]
+
+    def test_math_stage_error_propagates_and_worker_joined(self, monkeypatch):
+        failure = RuntimeError("math stage failed")
+
+        def fail(*args):
+            raise failure
+
+        monkeypatch.setattr(data_module, "_waveforms", fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as e:
+            generate(_small_spec(n_clips=self.N_CLIPS))
+        assert e.value is failure
+        assert threading.active_count() == before
+
+    def test_draw_stage_error_joins_busy_worker(self, monkeypatch):
+        failure = RuntimeError("draw stage failed")
+        draw = data_module._draw
+        calls = []
+
+        def fail_second(*args):
+            calls.append(1)
+            if len(calls) == 2:     # the first chunk is with the worker
+                raise failure
+            draw(*args)
+
+        monkeypatch.setattr(data_module, "_draw", fail_second)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as e:
+            generate(_small_spec(n_clips=self.N_CLIPS))
+        assert e.value is failure
+        assert threading.active_count() == before
 
 
 class TestSplit:
@@ -208,6 +277,16 @@ class TestFileFormat:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(ParseError, match="trailing"):
             read(path)
+
+    def test_clip_shape_mismatch_rejected_before_open(self, tmp_path):
+        d = generate(_small_spec(n_clips=4, n_groups=2))
+        path = tmp_path / "corpus.bin"
+        write(d, path)
+        before = path.read_bytes()
+        d.clips[1].data = d.clips[1].data[:, :200].copy()
+        with pytest.raises(ValidationError, match=r"clip 1 .*\(4, 200\)"):
+            write(d, path)
+        assert path.read_bytes() == before   # the existing file is not truncated
 
     def test_version_mismatch(self, tmp_path):
         d = generate(_small_spec(n_clips=1, n_groups=1))

@@ -31,6 +31,7 @@ from eegfs.training import (
     write_metrics_csv,
 )
 from eegfs import autodiff as ad
+from eegfs import training
 from eegfs.autodiff import Tape, Tensor, ValidationError, backward, cross_entropy_logits
 from eegfs.metrics import report
 from _oracles import adam_scalar_reference
@@ -271,6 +272,36 @@ class TestTapeLifetime:
         finally:
             if was_enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("fs_enabled", [True, False])
+    def test_last_step_tape_freed_before_validation(self, tiny_splits, monkeypatch, fs_enabled):
+        """No training tape outlives its step: when validation starts, every
+        tape ``train`` created has been freed, by reference counting alone."""
+        tr, va, _ = tiny_splits
+        refs = []
+        alive_at_eval = []
+
+        class RecordedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+        run_eval = training._run_eval
+
+        def checked_eval(*args, **kwargs):
+            alive_at_eval.append(sum(r() is not None for r in refs))
+            return run_eval(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "Tape", RecordedTape)
+        monkeypatch.setattr(training, "_run_eval", checked_eval)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(_tiny_config(fs_enabled=fs_enabled), tr, va)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert refs and alive_at_eval == [0, 0]
 
 
 class TestTapeResiduals:

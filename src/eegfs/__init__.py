@@ -18,11 +18,10 @@ from .bank import (
     compute_alpha,
 )
 from .data import CorpusSpec, Dataset, EegClip, ParseError, generate, read, split, write
-from .encoder import ConfigError, Encoder, EncoderConfig
+from .encoder import Encoder, EncoderConfig
 from .metrics import MetricsReport, UndefinedMetricError, auroc, confusion, rates, report
 from .selection import (
     AttributionMap,
-    ConfigurationError,
     FeatureSelector,
     batch_pool,
     export_attribution,

@@ -3,8 +3,8 @@
 Operations execute eagerly on numpy arrays. While a :class:`Tape` is
 recording, every operation also appends a backward rule, so a single
 reverse sweep over the tape yields gradients for all parameters and for
-any intermediate node registered in the tape's capture set (used to pull
-per-sample feature-map gradients out of a training step).
+any intermediate node captured on the tape (used to pull per-sample
+feature-map gradients out of a training step).
 
 The sweep computes only the gradients someone reads. The tape marks a
 node *live* when it is a leaf with ``requires_grad``, when it was passed
@@ -122,8 +122,8 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     Records are appended in execution order, which is a valid topological
-    order by construction. ``capture_set`` holds node ids whose gradients
-    must be retained after backward even if they are not leaves; ``_live``
+    order by construction. ``_tensors`` holds the ``requires_grad`` leaves
+    and the captured nodes, whose gradients backward retains; ``_live``
     holds the ids of the nodes backward computes a gradient for.
 
     Use as a context manager; recording stops on exit and the tape is then
@@ -134,14 +134,12 @@ class Tape:
         self._records: list[tuple[int, tuple[int, ...], Callable]] = []
         self._tensors: dict[int, Tensor] = {}  # the tensors backward gives a .grad
         self._next_id = 0
-        self._recording = False
         self._entered = False
-        self.capture_set: set[int] = set()
         self._live: set[int] = set()
 
     @property
     def recording(self) -> bool:
-        return self._recording
+        return _ACTIVE_TAPE is self
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -150,13 +148,11 @@ class Tape:
         if _ACTIVE_TAPE is not None:
             raise TapeUsageError("another tape is already recording")
         self._entered = True
-        self._recording = True
         _ACTIVE_TAPE = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
         global _ACTIVE_TAPE
-        self._recording = False
         _ACTIVE_TAPE = None
         return False
 
@@ -182,7 +178,6 @@ class Tape:
             raise TapeUsageError("capture after use: a recorded op already consumed "
                                  "this tensor without computing its gradient")
         node_id = self.register(t)
-        self.capture_set.add(node_id)
         self._live.add(node_id)
         self._tensors[node_id] = t
 
@@ -208,7 +203,7 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_rule: Callable) -> T
     is live when any input is.
     """
     tape = _ACTIVE_TAPE
-    if tape is not None and tape.recording:
+    if tape is not None:
         in_ids = tuple(tape.register(t) for t in inputs)
         out_id = tape.register(out)
         live = [i for t, i in zip(inputs, in_ids) if t.requires_grad or i in tape._live]
@@ -258,16 +253,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     handed_out: set[int] = set()  # ids of the buffers behind the grads set so far
     for node_id, t in tape._tensors.items():
-        if t.requires_grad or node_id in tape.capture_set:
-            g = grads.get(node_id)
-            if g is None:
-                g = np.zeros_like(t.data)
-            else:
-                owner = id(g if g.base is None else g.base)
-                if owner in handed_out:
-                    g = g.copy()  # e.g. both inputs of an add receive the same array
-                handed_out.add(owner)
-            t.grad = g
+        g = grads.get(node_id)
+        if g is None:
+            g = np.zeros_like(t.data)
+        else:
+            owner = id(g if g.base is None else g.base)
+            if owner in handed_out:
+                g = g.copy()  # e.g. both inputs of an add receive the same array
+            handed_out.add(owner)
+        t.grad = g
 
 
 # ---------------------------------------------------------------------------

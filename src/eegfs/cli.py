@@ -8,8 +8,9 @@ The schema's keys, parsers and defaults derive from the fields of
 ``CorpusSpec``, ``TrainConfig`` and ``EncoderConfig``; ``_KEYS`` lists
 the fields whose key differs from the field name.
 
-Exit codes: 0 success, 2 validation or configuration error, 3 numeric
-divergence; an ablation sweep with failed cells exits 1.
+Exit codes: 0 success, 2 invalid input (a ``ValidationError``, whose
+subclass ``ParseError`` marks a corrupt file, or an ``OSError`` on a path),
+3 numeric divergence; an ablation sweep with failed cells exits 1.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor, ValidationError
-from .data import CorpusSpec, Dataset, ParseError, generate, read, split, write
-from .encoder import ConfigError, EncoderConfig
-from .selection import ConfigurationError, export_attribution, write_attribution_csv
+from .data import CorpusSpec, Dataset, generate, read, split, write
+from .encoder import EncoderConfig
+from .selection import export_attribution, write_attribution_csv
 from .training import (
     DivergenceError,
     EpochRow,
@@ -124,16 +125,12 @@ SCHEMA = _schema()
 GRID_KEYS = ("q", "K", "m", "gamma")
 
 
-class CliConfigError(ValueError):
-    pass
-
-
 def _parse_kv_line(line: str, source: str) -> Optional[tuple[str, str]]:
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
     if "=" not in stripped:
-        raise CliConfigError(f"{source}: expected key=value, got {line!r}")
+        raise ValidationError(f"{source}: expected key=value, got {line!r}")
     key, _, value = stripped.partition("=")
     return key.strip(), value.strip()
 
@@ -145,25 +142,30 @@ def resolve_config(config_path: Optional[str], overrides: list[str]) -> dict:
 
     def apply(key: str, raw: str, source: str) -> None:
         if key not in SCHEMA:
-            raise CliConfigError(f"{source}: unknown key {key!r}")
+            raise ValidationError(f"{source}: unknown key {key!r}")
         parser, _ = SCHEMA[key]
         try:
             values[key] = parser(raw)
         except ValueError as e:
-            raise CliConfigError(f"{source}: bad value for {key!r}: {e}") from None
+            raise ValidationError(f"{source}: bad value for {key!r}: {e}") from None
 
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
-            raise CliConfigError(f"config file {config_path} not found")
-        for i, line in enumerate(path.read_text().splitlines(), start=1):
+            raise ValidationError(f"config file {config_path} not found")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ValidationError(
+                f"config file {config_path} is not valid UTF-8 at byte {e.start}") from None
+        for i, line in enumerate(text.splitlines(), start=1):
             kv = _parse_kv_line(line, f"{config_path}:{i}")
             if kv:
                 apply(kv[0], kv[1], f"{config_path}:{i}")
     for item in overrides:
         kv = _parse_kv_line(item, f"--set {item!r}")
         if kv is None:
-            raise CliConfigError(f"--set {item!r}: expected key=value")
+            raise ValidationError(f"--set {item!r}: expected key=value")
         apply(kv[0], kv[1], f"--set {item!r}")
     return values
 
@@ -255,23 +257,23 @@ def parse_grid(grid: str) -> dict[str, list]:
         if not clause:
             continue
         if "=" not in clause:
-            raise CliConfigError(f"grid clause {clause!r} is not key=v1,v2,...")
+            raise ValidationError(f"grid clause {clause!r} is not key=v1,v2,...")
         key, _, rest = clause.partition("=")
         key = key.strip()
         if key not in GRID_KEYS:
-            raise CliConfigError(f"grid key {key!r} not one of {GRID_KEYS}")
+            raise ValidationError(f"grid key {key!r} not one of {GRID_KEYS}")
         if key in out:
-            raise CliConfigError(f"grid key {key!r} given twice")
+            raise ValidationError(f"grid key {key!r} given twice")
         parser, _ = SCHEMA[key]
         raw = [v.strip() for v in rest.split(",") if v.strip()]
         if not raw:
-            raise CliConfigError(f"grid key {key!r} has no values")
+            raise ValidationError(f"grid key {key!r} has no values")
         try:
             out[key] = [parser(v) for v in raw]
         except ValueError as e:
-            raise CliConfigError(f"grid key {key!r}: {e}") from None
+            raise ValidationError(f"grid key {key!r}: {e}") from None
     if not out:
-        raise CliConfigError("empty grid")
+        raise ValidationError("empty grid")
     return out
 
 
@@ -317,14 +319,14 @@ def cmd_export_attribution(args) -> int:
     ckpt = load(args.checkpoint)
     config, enc, sel = restore_model(ckpt)
     if sel is None or ckpt.frozen_alpha is None:
-        raise ConfigurationError(
+        raise ValidationError(
             "checkpoint has no frozen channel weights; train with the "
             "selection module enabled first")
     ds = read(args.data)
     check_dataset_shape(config.encoder, ds)
     matches = [c for c in ds.clips if c.clip_id == args.clip]
     if not matches:
-        raise CliConfigError(f"clip id {args.clip} not present in {args.data}")
+        raise ValidationError(f"clip id {args.clip} not present in {args.data}")
     clip = matches[0]
 
     enc.forward(Tensor(clip.data[None, :, :]), fs=sel, mode="eval")
@@ -382,13 +384,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DivergenceError as e:
+    except (DivergenceError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (CliConfigError, ConfigError, ConfigurationError, ParseError,
-            ValidationError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, DivergenceError) else 2
     except Exception:
         traceback.print_exc()
         return 2

@@ -34,7 +34,7 @@ MAGIC = b"EEGS"
 FORMAT_VERSION = 1
 
 
-class ParseError(ValueError):
+class ParseError(ValidationError):
     """Corrupt or truncated corpus or checkpoint file; carries the failing
     byte offset."""
 
@@ -357,12 +357,17 @@ def split(d: Dataset, ratios: tuple[float, float, float], by_group: bool,
 def write(d: Dataset, path) -> None:
     """Binary layout: magic, u16 version, u32 header fields, then per clip
     u32 clip_id, u32 group_id, u8 label and little-endian f32 samples.
-    Every clip's shape is checked before the file is opened."""
+    Every clip's shape, label and ids are checked before the file is opened."""
     shape = (d.channels, d.timestamps)
     for i, c in enumerate(d.clips):
         if np.shape(c.data) != shape:
             raise ValidationError(f"clip {i} (id {c.clip_id}) has shape {np.shape(c.data)}, "
                                   f"expected the dataset's {shape}")
+        if c.label not in (0, 1):
+            raise ValidationError(f"clip {i} (id {c.clip_id}) label {c.label} not binary")
+        if not (0 <= c.clip_id < 2**32 and 0 <= c.group_id < 2**32):
+            raise ValidationError(f"clip {i} has clip_id {c.clip_id} and group_id "
+                                  f"{c.group_id}; both must lie in [0, 2**32)")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<H", FORMAT_VERSION))

@@ -18,8 +18,7 @@ from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor, ValidationError
 
 
-class ConfigError(ValueError):
-    """Encoder configuration is internally inconsistent."""
+ACTIVATIONS = ("softmax", "sigmoid")  # checkpoint code = index
 
 
 @dataclass(frozen=True)
@@ -36,40 +35,37 @@ class EncoderConfig:
 
     def validate(self) -> None:
         if not self.blocks:
-            raise ConfigError("at least one block is required")
+            raise ValidationError("at least one block is required")
         if not 0 <= self.insertion_layer < len(self.blocks):
-            raise ConfigError(
+            raise ValidationError(
                 f"insertion_layer {self.insertion_layer} outside [0, {len(self.blocks)})")
         if self.in_channels < 1 or self.num_classes < 2:
-            raise ConfigError("in_channels must be >= 1 and num_classes >= 2")
-        if self.activation_kind not in ("softmax", "sigmoid"):
-            raise ConfigError(f"unknown activation_kind {self.activation_kind!r}")
+            raise ValidationError("in_channels must be >= 1 and num_classes >= 2")
+        if self.activation_kind not in ACTIVATIONS:
+            raise ValidationError(f"unknown activation_kind {self.activation_kind!r}")
         if not 0.0 < self.bn_eps < np.inf:
-            raise ConfigError(f"bn_eps {self.bn_eps} must be finite and > 0")
+            raise ValidationError(f"bn_eps {self.bn_eps} must be finite and > 0")
         if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ConfigError(f"bn_momentum {self.bn_momentum} outside [0, 1]")
-        t = self.clip_len
-        for i, (c_out, k, stride, pool) in enumerate(self.blocks):
-            if c_out < 2:
-                raise ConfigError(f"block {i}: out_channels {c_out} must be >= 2 "
-                                  "(channel entropy is degenerate otherwise)")
-            if k < 1 or stride < 1 or pool < 1:
-                raise ConfigError(f"block {i}: kernel/stride/pool must be >= 1")
-            if k > t:
-                raise ConfigError(f"block {i}: kernel {k} exceeds temporal length {t}")
-            t = (t - k) // stride + 1
-            if t < pool:
-                raise ConfigError(f"block {i}: pool {pool} exceeds conv output length {t}")
-            t = t // pool
-        if t < 1:
-            raise ConfigError("temporal length underflows across blocks")
+            raise ValidationError(f"bn_momentum {self.bn_momentum} outside [0, 1]")
+        self.temporal_lengths()
 
     def temporal_lengths(self) -> list[int]:
-        """Temporal length after each block."""
+        """Temporal length after each block; raises ValidationError naming
+        the first block that does not fit its input."""
         t = self.clip_len
         out = []
-        for _, k, stride, pool in self.blocks:
-            t = ((t - k) // stride + 1) // pool
+        for i, (c_out, k, stride, pool) in enumerate(self.blocks):
+            if c_out < 2:
+                raise ValidationError(f"block {i}: out_channels {c_out} must be >= 2 "
+                                      "(channel entropy is degenerate otherwise)")
+            if k < 1 or stride < 1 or pool < 1:
+                raise ValidationError(f"block {i}: kernel/stride/pool must be >= 1")
+            if k > t:
+                raise ValidationError(f"block {i}: kernel {k} exceeds temporal length {t}")
+            t = (t - k) // stride + 1
+            if t < pool:
+                raise ValidationError(f"block {i}: pool {pool} exceeds conv output length {t}")
+            t //= pool
             out.append(t)
         return out
 

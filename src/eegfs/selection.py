@@ -23,12 +23,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNormState, DimensionError, Tensor, ValidationError
 from .bank import GradientBank, apply_decay, compute_alpha
+from .encoder import ACTIVATIONS
 
 _EPS_H = 1e-12  # below this largest entropy every location keeps full weight
-
-
-class ConfigurationError(RuntimeError):
-    """Selector used in a mode its state cannot support."""
 
 
 @dataclass
@@ -94,7 +91,7 @@ class FeatureSelector:
                  bn_eps: float = 1e-5, bn_momentum: float = 0.1):
         if not 0.0 <= momentum <= 1.0:
             raise ValidationError(f"momentum must lie in [0, 1], got {momentum}")
-        if activation_kind not in ("softmax", "sigmoid"):
+        if activation_kind not in ACTIVATIONS:
             raise ValidationError(
                 f"activation_kind must be softmax|sigmoid, got {activation_kind!r}")
         self.bank = bank
@@ -156,7 +153,7 @@ def export_attribution(sel: FeatureSelector, clip, stride_product: int,
     loss) take the last location's weight.
     """
     if sel.last_lambda is None:
-        raise ConfigurationError("no location weights recorded yet; run a forward pass")
+        raise ValidationError("no location weights recorded yet; run a forward pass")
     if stride_product < 1:
         raise ValidationError(f"stride_product must be >= 1, got {stride_product}")
     lam = sel.last_lambda

@@ -22,15 +22,13 @@ from . import autodiff as ad
 from .autodiff import Tensor, ValidationError
 from .bank import BankUsageError, GradientBank, NonFiniteGradientError
 from .data import BinaryReader, Dataset, ParseError
-from .encoder import Encoder, EncoderConfig
+from .encoder import ACTIVATIONS, Encoder, EncoderConfig
 from .metrics import MetricsReport, report
-from .selection import ConfigurationError, FeatureSelector
+from .selection import FeatureSelector
 
 CHECKPOINT_MAGIC = b"IEFS"
 CHECKPOINT_VERSION = 1
 _DTYPE_F64 = 1
-
-_ACTIVATIONS = ("softmax", "sigmoid")  # checkpoint code = index
 
 
 class DivergenceError(RuntimeError):
@@ -62,6 +60,9 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.seed < 0:
             raise ValidationError("epochs and batch_size must be positive, seed >= 0")
+        if self.bank_size < 1 or self.top_k < 1:
+            raise ValidationError(
+                f"bank_size {self.bank_size} and top_k {self.top_k} must be >= 1")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValidationError(f"momentum {self.momentum} outside [0, 1]")
         if not 0.0 < self.decay <= 1.0:
@@ -166,7 +167,7 @@ def _config_fields(cls, prefix: str):
 
 def _encode(value) -> np.ndarray:
     if isinstance(value, str):
-        value = _ACTIVATIONS.index(value)
+        value = ACTIVATIONS.index(value)
     return np.asarray(value, dtype=np.float64)
 
 
@@ -184,7 +185,7 @@ def _decode(default, arr: np.ndarray, name: str):
     v = float(arr.reshape(()))
     if isinstance(default, (str, bool)) and v not in (0.0, 1.0):
         raise ValidationError(f"checkpoint tensor {name!r}: unknown code {v}")
-    return _ACTIVATIONS[int(v)] if isinstance(default, str) else type(default)(v)
+    return ACTIVATIONS[int(v)] if isinstance(default, str) else type(default)(v)
 
 
 @dataclass
@@ -447,7 +448,7 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
     if resume is not None:
         saved = resume.config()
         if replace(saved, epochs=0) != replace(config, epochs=0):
-            raise ConfigurationError(
+            raise ValidationError(
                 "resume checkpoint configuration does not match the active one")
         _, enc, sel = restore_model(resume)
         for name, p in enc.params.items():
@@ -510,7 +511,7 @@ def predict(ckpt: Checkpoint, ds: Dataset,
 def evaluate(ckpt: Checkpoint, ds: Dataset, batch_size: int = 64) -> MetricsReport:
     """Eval-mode metrics of a completed checkpoint on a dataset."""
     if ckpt.config().fs_enabled and ckpt.frozen_alpha is None:
-        raise ConfigurationError(
+        raise ValidationError(
             "checkpoint has no frozen channel weights; evaluation with the "
             "selection module enabled requires a completed training run")
     return report(predict(ckpt, ds, batch_size)[0])

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from eegfs import cli
+from eegfs import ValidationError, cli
 from eegfs.cli import (
-    CliConfigError,
     corpus_spec_from,
     main,
     parse_grid,
@@ -59,11 +58,11 @@ class TestResolveConfig:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("learning_rate=0.1\n")
-        with pytest.raises(CliConfigError, match="unknown key"):
+        with pytest.raises(ValidationError, match="unknown key"):
             resolve_config(str(cfg), [])
 
     def test_bad_value_rejected(self):
-        with pytest.raises(CliConfigError, match="bad value"):
+        with pytest.raises(ValidationError, match="bad value"):
             resolve_config(None, ["epochs=soon"])
 
     def test_resolved_key_list(self, tmp_path):
@@ -273,7 +272,7 @@ class TestAblate:
         assert rc == 2
 
     def test_unknown_grid_key_rejected(self):
-        with pytest.raises(CliConfigError):
+        with pytest.raises(ValidationError):
             parse_grid("lr=0.1,0.2")
 
     def test_grid_parse(self):
@@ -341,3 +340,73 @@ class TestExportAttribution:
                    "--data", str(data), "--clip", "99999",
                    "--out", str(tmp_path / "a.csv")])
         assert rc == 2
+
+
+def _sets(items):
+    return sum((["--set", s] for s in items), [])
+
+
+def _non_utf8_config(tmp_path, data, ckpt):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xffepochs=2\n")
+    return ["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "o")]
+
+
+def _out_is_directory(tmp_path, data, ckpt):
+    return ["gen-data", "--out", str(tmp_path)] + _sets(["n_clips=4", "n_groups=2"])
+
+
+def _truncated_corpus(tmp_path, data, ckpt):
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(data.read_bytes()[:100])
+    return ["train", "--data", str(cut), "--out", str(tmp_path / "o")] + _sets(SMALL)
+
+
+def _bad_checkpoint_magic(tmp_path, data, ckpt):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"JUNK" + ckpt.read_bytes()[4:])
+    return ["export-attribution", "--checkpoint", str(bad), "--data", str(data),
+            "--clip", "0", "--out", str(tmp_path / "a.csv")]
+
+
+def _block_too_long(tmp_path, data, ckpt):
+    return (["train", "--data", str(data), "--out", str(tmp_path / "o")]
+            + _sets(SMALL + ["blocks=4:99:1:2"]))
+
+
+def _attribution_without_selection(tmp_path, data, ckpt):
+    return ["export-attribution", "--checkpoint", str(ckpt), "--data", str(data),
+            "--clip", "0", "--out", str(tmp_path / "a.csv")]
+
+
+def _zero_bank_without_selection(tmp_path, data, ckpt):
+    return (["train", "--data", str(data), "--out", str(tmp_path / "o"), "--no-fs"]
+            + _sets(SMALL + ["q=0"]))
+
+
+class TestInvalidInputExits2:
+    @pytest.fixture(scope="class")
+    def nofs_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("nofs")
+        data = _gen(root)
+        rc = main(["train", "--data", str(data), "--out", str(root / "run"), "--no-fs"]
+                  + _sets(SMALL))
+        assert rc == 0
+        return data, root / "run" / "checkpoint.bin"
+
+    @pytest.mark.parametrize("case, expected", [
+        (_non_utf8_config, "not valid UTF-8"),
+        (_out_is_directory, "Is a directory"),
+        (_truncated_corpus, "truncated"),
+        (_bad_checkpoint_magic, "bad magic"),
+        (_block_too_long, "block 0: kernel 99"),
+        (_attribution_without_selection, "no frozen channel weights"),
+        (_zero_bank_without_selection, "bank_size 0")])
+    def test_one_error_line_and_no_traceback(self, tmp_path, capsys, nofs_run, case, expected):
+        argv = case(tmp_path, *nofs_run)
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err and expected in err

@@ -288,6 +288,22 @@ class TestFileFormat:
             write(d, path)
         assert path.read_bytes() == before   # the existing file is not truncated
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("label", 2, "label 2 not binary"), ("group_id", -1, "group_id -1"),
+        ("clip_id", 2**32, f"clip_id {2**32}")])
+    def test_clip_header_out_of_range_rejected_before_open(self, tmp_path, field, value, match):
+        d = generate(_small_spec(n_clips=4, n_groups=2))
+        path = tmp_path / "corpus.bin"
+        write(d, path)
+        before = path.read_bytes()
+        setattr(d.clips[1], field, value)
+        with pytest.raises(ValidationError, match=f"clip 1 .*{match}"):
+            write(d, path)
+        assert path.read_bytes() == before
+
+    def test_parse_error_is_a_validation_error(self):
+        assert issubclass(ParseError, ValidationError)
+
     def test_version_mismatch(self, tmp_path):
         d = generate(_small_spec(n_clips=1, n_groups=1))
         path = tmp_path / "corpus.bin"

@@ -4,9 +4,9 @@ semantics, and gradient capture fidelity."""
 import numpy as np
 import pytest
 
-from eegfs.autodiff import Tape, Tensor, backward, cross_entropy_logits
+from eegfs.autodiff import Tape, Tensor, ValidationError, backward, cross_entropy_logits
 from eegfs.bank import GradientBank
-from eegfs.encoder import ConfigError, Encoder, EncoderConfig
+from eegfs.encoder import Encoder, EncoderConfig
 from eegfs.selection import FeatureSelector
 
 
@@ -34,23 +34,23 @@ class TestConfig:
         assert cfg.flat_features() == 64 * 59
 
     def test_zero_blocks_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             EncoderConfig(blocks=()).validate()
 
     def test_temporal_underflow_names_block(self):
         cfg = EncoderConfig(in_channels=2, clip_len=10,
                             blocks=((4, 3, 1, 2), (4, 7, 1, 2)))
-        with pytest.raises(ConfigError, match="block 1"):
+        with pytest.raises(ValidationError, match="block 1"):
             cfg.validate()
 
     def test_single_channel_block_rejected(self):
-        with pytest.raises(ConfigError, match="out_channels"):
+        with pytest.raises(ValidationError, match="out_channels"):
             EncoderConfig(blocks=((1, 3, 1, 1),)).validate()
 
     @pytest.mark.parametrize("field, value", [("bn_momentum", 5.0), ("bn_momentum", -0.1),
                                               ("bn_eps", float("nan"))])
     def test_out_of_range_bn_setting_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ValidationError, match=field):
             EncoderConfig(**{field: value}).validate()
 
     def test_stride_product(self):

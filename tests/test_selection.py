@@ -8,7 +8,6 @@ from eegfs.autodiff import Tape, Tensor, ValidationError, backward, sum_over_axe
 from eegfs.bank import GradientBank
 from eegfs.selection import (
     AttributionMap,
-    ConfigurationError,
     FeatureSelector,
     batch_pool,
     export_attribution,
@@ -272,7 +271,7 @@ class TestExportAttribution:
 
     def test_missing_lambda_rejected(self):
         fs = _selector(channels=2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             export_attribution(fs, _FakeClip(np.zeros((1, 8)), 0), 2)
 
     def test_csv_format(self, tmp_path):

@@ -13,8 +13,8 @@ import pytest
 
 from eegfs.bank import GradientBank, NonFiniteGradientError
 from eegfs.data import CorpusSpec, ParseError, generate, split
-from eegfs.encoder import ConfigError, Encoder, EncoderConfig
-from eegfs.selection import ConfigurationError, FeatureSelector
+from eegfs.encoder import Encoder, EncoderConfig
+from eegfs.selection import FeatureSelector
 from eegfs.training import (
     AdamMoments,
     Checkpoint,
@@ -115,6 +115,11 @@ class TestConfigValidation:
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             _tiny_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["bank_size", "top_k"])
+    def test_bank_setting_rejected_with_selection_off(self, field):
+        with pytest.raises(ValidationError, match=f"{field} 0"):
+            _tiny_config(fs_enabled=False, **{field: 0}).validate()
 
 
 class TestTrainLoop:
@@ -425,7 +430,7 @@ class TestEvaluate:
         cfg = _tiny_config(epochs=1, batch_size=64)  # stays in warmup
         result = train(cfg, tr, va)
         assert result.final.frozen_alpha is None
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             evaluate(result.final, te)
 
     def test_evaluate_reports_predict_scores(self, tiny_splits):
@@ -653,7 +658,7 @@ class TestCheckpointIO:
             restore_model(Checkpoint({**one_epoch.tensors, "bank/0001/iter": np.asarray(np.nan)}))
 
     @pytest.mark.parametrize("name, field, error", [
-        ("config/enc.bn_momentum", "bn_momentum", ConfigError),
+        ("config/enc.bn_momentum", "bn_momentum", ValidationError),
         ("config/adam_beta2", "adam_beta2", ValidationError)])
     def test_out_of_range_setting_rejected(self, one_epoch, name, field, error):
         with pytest.raises(error, match=field):
@@ -687,7 +692,7 @@ class TestResume:
         tr, va, _ = tiny_splits
         first = train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va)
         bad = _tiny_config(epochs=4, batch_size=8, bank_size=2, lr=5e-4)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             train(bad, tr, va, resume=first.final)
 
     @pytest.mark.parametrize("name", ["adam/t", "state/epoch", "state/iteration"])

@@ -21,6 +21,7 @@ round trip is bit-exact; the float64 engine widens each batch it stacks.
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,29 +45,32 @@ class ParseError(ValidationError):
 
 
 class BinaryReader:
-    """Bounds-checked cursor over a whole binary file (corpus or checkpoint).
+    """Bounds-checked cursor over an open binary file (corpus or checkpoint).
 
     Opening checks the 4-byte magic and the little-endian u16 version
     (``version_label`` names the version in the error). Every read past
     the end, undecodable name or unread tail raises ``ParseError`` at the
-    offset where it starts.
+    offset where it starts. Each field is read from the file as it is
+    taken: a whole-file heap buffer needs a free run of the file's size,
+    and where the heap has none it grows, so resident memory would depend
+    on the heap layout that earlier calls left.
     """
 
-    def __init__(self, path, magic: bytes, version: int, version_label: str):
-        with open(path, "rb") as f:
-            self.raw = memoryview(f.read())
-        self.offset = 0
-        if self.take(4, "magic") != magic:
-            raise ParseError(0, f"bad magic {bytes(self.raw[:4])!r}, expected {magic!r}")
+    def __init__(self, f, magic: bytes, version: int, version_label: str):
+        self.file, self.size, self.offset = f, os.fstat(f.fileno()).st_size, 0
+        found = self.take(4, "magic")
+        if found != magic:
+            raise ParseError(0, f"bad magic {found!r}, expected {magic!r}")
         (found,) = self.unpack("<H", "version")
         if found != version:
             raise ParseError(4, f"unsupported {version_label} {found}")
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.offset + n > len(self.raw):
+    def take(self, n: int, what: str) -> bytes:
+        raw = self.file.read(n) if self.offset + n <= self.size else b""
+        if len(raw) != n:  # past the end, or the file shrank since it was opened
             raise ParseError(self.offset, f"truncated while reading {what}")
         self.offset += n
-        return self.raw[self.offset - n:self.offset]
+        return raw
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -81,8 +85,8 @@ class BinaryReader:
             raise ParseError(start, f"{what} is not valid UTF-8") from None
 
     def finish(self) -> None:
-        if self.offset != len(self.raw):
-            raise ParseError(self.offset, f"{len(self.raw) - self.offset} trailing bytes")
+        if self.offset != self.size:
+            raise ParseError(self.offset, f"{self.size - self.offset} trailing bytes")
 
 
 @dataclass
@@ -379,18 +383,19 @@ def write(d: Dataset, path) -> None:
 
 
 def read(path) -> Dataset:
-    r = BinaryReader(path, MAGIC, FORMAT_VERSION, "version")
-    n_clips, channels, timestamps, rate, n_groups = r.unpack("<5I", "header")
-    payload = channels * timestamps * 4
-    clips = []
-    for i in range(n_clips):
-        clip_id, group_id, label = r.unpack("<IIB", f"clip {i} header")
-        if label not in (0, 1):
-            raise ParseError(r.offset - 1, f"clip {i} label {label} not binary")
-        samples = np.frombuffer(r.take(payload, f"clip {i} samples"), dtype="<f4")
-        clips.append(EegClip(
-            clip_id=clip_id, group_id=group_id, label=int(label),
-            data=samples.reshape(channels, timestamps).astype(np.float32)))
-    r.finish()
+    with open(path, "rb") as f:
+        r = BinaryReader(f, MAGIC, FORMAT_VERSION, "version")
+        n_clips, channels, timestamps, rate, n_groups = r.unpack("<5I", "header")
+        payload = channels * timestamps * 4
+        clips = []
+        for i in range(n_clips):
+            clip_id, group_id, label = r.unpack("<IIB", f"clip {i} header")
+            if label not in (0, 1):
+                raise ParseError(r.offset - 1, f"clip {i} label {label} not binary")
+            samples = np.frombuffer(r.take(payload, f"clip {i} samples"), dtype="<f4")
+            clips.append(EegClip(
+                clip_id=clip_id, group_id=group_id, label=int(label),
+                data=samples.reshape(channels, timestamps).astype(np.float32)))
+        r.finish()
     return Dataset(channels=channels, timestamps=timestamps, sample_rate=rate,
                    n_groups=n_groups, clips=clips)

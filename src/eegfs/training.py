@@ -251,22 +251,24 @@ def save(ckpt: Checkpoint, path) -> None:
 
 
 def load(path) -> Checkpoint:
-    r = BinaryReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint version")
-    (count,) = r.unpack("<I", "tensor count")
-    tensors: dict[str, np.ndarray] = {}
-    for i in range(count):
-        name = r.name(f"tensor {i} name")
-        dtype, rank = r.unpack("<BB", f"{name} dtype/rank")
-        if dtype != _DTYPE_F64:
-            raise ParseError(r.offset - 2, f"{name}: unknown dtype tag {dtype}")
-        dims_at = r.offset
-        dims = r.unpack(f"<{rank}I", f"{name} dims")
-        payload = r.take(8 * math.prod(dims), f"{name} payload")  # exact, no int64 wrap
-        try:
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-        except ValueError:  # e.g. a zero dim beside dims whose product numpy cannot index
-            raise ParseError(dims_at, f"{name}: dims {dims} exceed numpy's array size") from None
-    r.finish()
+    with open(path, "rb") as f:
+        r = BinaryReader(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint version")
+        (count,) = r.unpack("<I", "tensor count")
+        tensors: dict[str, np.ndarray] = {}
+        for i in range(count):
+            name = r.name(f"tensor {i} name")
+            dtype, rank = r.unpack("<BB", f"{name} dtype/rank")
+            if dtype != _DTYPE_F64:
+                raise ParseError(r.offset - 2, f"{name}: unknown dtype tag {dtype}")
+            dims_at = r.offset
+            dims = r.unpack(f"<{rank}I", f"{name} dims")
+            payload = r.take(8 * math.prod(dims), f"{name} payload")  # exact, no int64 wrap
+            try:
+                tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+            except ValueError:  # e.g. a zero dim beside dims whose product numpy cannot index
+                raise ParseError(dims_at,
+                                 f"{name}: dims {dims} exceed numpy's array size") from None
+        r.finish()
     return Checkpoint(tensors=tensors)
 
 

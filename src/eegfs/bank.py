@@ -60,7 +60,8 @@ class SampledGradients:
 
     ``ages`` counts iterations back from the one being processed: the
     newest banked batch has age 1 (tracked implicitly for ``recent``),
-    selected rows have ages in 2..capacity+1.
+    selected rows have ages in 2..capacity+1. ``recent`` is the bank's own
+    read-only newest entry, handed over without a copy.
     """
 
     recent: np.ndarray                 # (b, C, S)
@@ -194,7 +195,7 @@ class GradientBank:
         chosen = order[(first[:, None] + np.arange(k)).ravel()]
         chosen_iters = iters[cand_col[chosen]]
         return SampledGradients(
-            recent=anchors.copy(),
+            recent=anchors,
             sampled=cand_rows[chosen].reshape(-1, self.channels, self.spatial),
             ages=(newest_iter - chosen_iters + 1).astype(np.int64),
             selected_keys=list(zip(chosen_iters.tolist(),

@@ -2,8 +2,11 @@
 sweeps, attribution export.
 
 Configuration is a flat ``key=value`` text file validated against a
-typed schema; ``--set key=value`` flags override file values. Every run
-directory receives a ``config.resolved`` echo of the effective values.
+typed schema; ``--set key=value`` flags override file values. A run's
+directory is created once its input checks pass and receives a
+``config.resolved`` echo of the effective values. ``ablate`` runs the
+``train`` path per grid cell; its ``summary.csv`` has the ``GRID_KEYS``
+columns, then ``val_acc,val_f1,val_auroc``.
 The schema's keys, parsers and defaults derive from the fields of
 ``CorpusSpec``, ``TrainConfig`` and ``EncoderConfig``; ``_KEYS`` lists
 the fields whose key differs from the field name.
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor, ValidationError
-from .data import CorpusSpec, Dataset, generate, read, split, write
+from .data import CorpusSpec, generate, read, split, write
 from .encoder import EncoderConfig
 from .selection import export_attribution, write_attribution_csv
 from .training import (
@@ -34,6 +37,8 @@ from .training import (
     EpochRow,
     TrainConfig,
     check_dataset_shape,
+    check_train_inputs,
+    format_metric,
     load,
     predict,
     restore_model,
@@ -135,6 +140,14 @@ def _parse_kv_line(line: str, source: str) -> Optional[tuple[str, str]]:
     return key.strip(), value.strip()
 
 
+def _typed(key: str, raw: str, where: str):
+    """``raw`` as the schema type of ``key``; ValidationError led by ``where`` if it fails."""
+    try:
+        return SCHEMA[key][0](raw)
+    except ValueError as e:
+        raise ValidationError(f"{where}: {e}") from None
+
+
 def resolve_config(config_path: Optional[str], overrides: list[str]) -> dict:
     """Defaults, then file values, then --set overrides; unknown keys and
     untypeable values are rejected."""
@@ -143,11 +156,7 @@ def resolve_config(config_path: Optional[str], overrides: list[str]) -> dict:
     def apply(key: str, raw: str, source: str) -> None:
         if key not in SCHEMA:
             raise ValidationError(f"{source}: unknown key {key!r}")
-        parser, _ = SCHEMA[key]
-        try:
-            values[key] = parser(raw)
-        except ValueError as e:
-            raise ValidationError(f"{source}: bad value for {key!r}: {e}") from None
+        values[key] = _typed(key, raw, f"{source}: bad value for {key!r}")
 
     if config_path is not None:
         path = Path(config_path)
@@ -191,12 +200,6 @@ def train_config_from(values: dict) -> TrainConfig:
     return _from(values, "", TrainConfig, encoder=_from(values, "enc.", EncoderConfig))
 
 
-def _split_dataset(values: dict, ds: Dataset):
-    ratios = (values["train_ratio"], values["val_ratio"], values["test_ratio"])
-    return split(ds, ratios, by_group=values["split_by_group"],
-                 seed=values["split_seed"])
-
-
 def cmd_gen_data(args) -> int:
     values = resolve_config(args.spec, args.set or [])
     spec = corpus_spec_from(values)
@@ -208,18 +211,18 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_into(values: dict, data_path: str, out_dir: Path,
-                resume_path: Optional[str]) -> dict:
-    """Run one training and drop the artifact set into ``out_dir``.
-
-    Returns the final-epoch validation metrics (for ablation summaries).
-    """
+                resume_path: Optional[str]) -> EpochRow:
+    """Run one training into ``out_dir``, created once the inputs pass their
+    checks; returns the final epoch's validation row (for ablation summaries)."""
     config = train_config_from(values)
-    ds = read(data_path)
-    tr, va, te = _split_dataset(values, ds)
+    ratios = (values["train_ratio"], values["val_ratio"], values["test_ratio"])
+    tr, va, te = split(read(data_path), ratios, by_group=values["split_by_group"],
+                       seed=values["split_seed"])
+    check_train_inputs(config, tr, va)
+    resume = load(resume_path) if resume_path else None
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved(values, out_dir)
 
-    resume = load(resume_path) if resume_path else None
     result = train(config, tr, va, resume=resume)
 
     save(result.final, out_dir / "checkpoint.bin")
@@ -233,19 +236,15 @@ def _train_into(values: dict, data_path: str, out_dir: Path,
         (out_dir / "alpha_trajectory.txt").write_text(
             result.alpha_trajectory_sha256 + "\n")
 
-    val_rows = [r for r in result.log if r.split == "val"]
-    last = val_rows[-1]
-    print(f"epochs={config.epochs} val_acc={last.accuracy:.6f} "
-          f"val_f1={last.f1:.6f} best_epoch={result.best_epoch}")
-    return {"val_acc": last.accuracy, "val_f1": last.f1, "val_auroc": last.auroc}
+    last = result.log[-1]  # every epoch logs its train row, then its val row
+    print(f"epochs={config.epochs} val_acc={format_metric(last.accuracy)} "
+          f"val_f1={format_metric(last.f1)} best_epoch={result.best_epoch}")
+    return last
 
 
 def cmd_train(args) -> int:
-    overrides = list(args.set or [])
-    if args.no_fs:
-        overrides.append("fs_enabled=false")
-    values = resolve_config(args.config, overrides)
-    _train_into(values, args.data, Path(args.out), args.resume)
+    overrides = (args.set or []) + (["fs_enabled=false"] if args.no_fs else [])
+    _train_into(resolve_config(args.config, overrides), args.data, Path(args.out), args.resume)
     return 0
 
 
@@ -264,14 +263,10 @@ def parse_grid(grid: str) -> dict[str, list]:
             raise ValidationError(f"grid key {key!r} not one of {GRID_KEYS}")
         if key in out:
             raise ValidationError(f"grid key {key!r} given twice")
-        parser, _ = SCHEMA[key]
         raw = [v.strip() for v in rest.split(",") if v.strip()]
         if not raw:
             raise ValidationError(f"grid key {key!r} has no values")
-        try:
-            out[key] = [parser(v) for v in raw]
-        except ValueError as e:
-            raise ValidationError(f"grid key {key!r}: {e}") from None
+        out[key] = [_typed(key, v, f"grid key {key!r}") for v in raw]
     if not out:
         raise ValidationError("empty grid")
     return out
@@ -284,35 +279,24 @@ def cmd_ablate(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
 
     keys = sorted(grid)  # lexicographic cell order
-    cells = list(itertools.product(*(grid[k] for k in keys)))
-    summary_rows = []
-    failures = []
-    for combo in cells:
-        cell_values = dict(values)
-        cell_values.update(dict(zip(keys, combo)))
+    summary = ",".join(GRID_KEYS) + ",val_acc,val_f1,val_auroc\n"
+    failures = ""
+    for combo in itertools.product(*(grid[k] for k in keys)):
+        cell = {**values, **dict(zip(keys, combo))}
         name = "_".join(f"{k}={_fmt(v)}" for k, v in zip(keys, combo))
-        cell_dir = out_root / name
         try:
-            metrics = _train_into(cell_values, args.data, cell_dir, None)
+            row = _train_into(cell, args.data, out_root / name, None)
         except Exception as e:  # record and continue with the other cells
-            failures.append((name, f"{type(e).__name__}: {e}"))
+            failures += f"{name}\t{type(e).__name__}: {e}\n"
             print(f"cell {name} failed: {e}", file=sys.stderr)
             continue
-        summary_rows.append((cell_values["q"], cell_values["K"], cell_values["m"],
-                             cell_values["gamma"], metrics))
+        metrics = map(format_metric, (row.accuracy, row.f1, row.auroc))
+        summary += ",".join([*(_fmt(cell[k]) for k in GRID_KEYS), *metrics]) + "\n"
 
-    with open(out_root / "summary.csv", "w") as f:
-        f.write("q,K,m,gamma,val_acc,val_f1,val_auroc\n")
-        for q, k, m, gamma, metrics in summary_rows:
-            auroc = metrics["val_auroc"]
-            f.write(f"{q},{k},{_fmt(float(m))},{_fmt(float(gamma))},"
-                    f"{metrics['val_acc']:.6f},{metrics['val_f1']:.6f},"
-                    f"{'nan' if auroc is None else f'{auroc:.6f}'}\n")
+    (out_root / "summary.csv").write_text(summary)
     if failures:
-        (out_root / "failures.txt").write_text(
-            "".join(f"{n}\t{msg}\n" for n, msg in failures))
-        return 1
-    return 0
+        (out_root / "failures.txt").write_text(failures)
+    return 1 if failures else 0
 
 
 def cmd_export_attribution(args) -> int:
@@ -361,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("ablate", help="hyperparameter sweep over q, K, m, gamma")
+    p = sub.add_parser("ablate", help=f"hyperparameter sweep over {', '.join(GRID_KEYS)}")
     p.add_argument("--config", help="key=value run config file")
     p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--grid", required=True,

@@ -358,27 +358,35 @@ def split(d: Dataset, ratios: tuple[float, float, float], by_group: bool,
     return make(buckets[0]), make(buckets[1]), make(buckets[2])
 
 
+def _pack(fmt: str, what: str, **values) -> bytes:
+    try:
+        return struct.pack(fmt, *values.values())
+    except struct.error as e:  # a value the field cannot hold
+        named = ", ".join(f"{k} {v!r}" for k, v in values.items())
+        raise ValidationError(f"{what} {named}: {e}") from None
+
+
 def write(d: Dataset, path) -> None:
     """Binary layout: magic, u16 version, u32 header fields, then per clip
     u32 clip_id, u32 group_id, u8 label and little-endian f32 samples.
-    Every clip's shape, label and ids are checked before the file is opened."""
+    The header and every clip's shape, label and ids are checked and packed
+    before the file is opened, so a rejected dataset leaves an existing file intact."""
+    head = _pack("<5I", "dataset", n_clips=len(d.clips), channels=d.channels,
+                 timestamps=d.timestamps, sample_rate=d.sample_rate, n_groups=d.n_groups)
     shape = (d.channels, d.timestamps)
+    clip_heads = []
     for i, c in enumerate(d.clips):
         if np.shape(c.data) != shape:
             raise ValidationError(f"clip {i} (id {c.clip_id}) has shape {np.shape(c.data)}, "
                                   f"expected the dataset's {shape}")
         if c.label not in (0, 1):
             raise ValidationError(f"clip {i} (id {c.clip_id}) label {c.label} not binary")
-        if not (0 <= c.clip_id < 2**32 and 0 <= c.group_id < 2**32):
-            raise ValidationError(f"clip {i} has clip_id {c.clip_id} and group_id "
-                                  f"{c.group_id}; both must lie in [0, 2**32)")
+        clip_heads.append(_pack("<IIB", f"clip {i}", clip_id=c.clip_id,
+                                group_id=c.group_id, label=c.label))
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<H", FORMAT_VERSION))
-        f.write(struct.pack("<5I", len(d.clips), d.channels, d.timestamps,
-                            d.sample_rate, d.n_groups))
-        for c in d.clips:
-            f.write(struct.pack("<IIB", c.clip_id, c.group_id, c.label))
+        f.write(MAGIC + struct.pack("<H", FORMAT_VERSION) + head)
+        for c, clip_head in zip(d.clips, clip_heads):
+            f.write(clip_head)
             f.write(np.ascontiguousarray(c.data, dtype="<f4"))
 
 

@@ -96,16 +96,17 @@ class EpochRow:
                    precision=r.precision, recall=r.recall, f1=r.f1, auroc=r.auroc)
 
 
-def write_metrics_csv(rows: list[EpochRow], path) -> None:
-    """Fixed-format log: 6 decimal places, absent AUROC printed as nan."""
-    def fmt(v: Optional[float]) -> str:
-        return "nan" if v is None else f"{v:.6f}"
+def format_metric(v: Optional[float]) -> str:
+    """A logged metric as CSV text: 6 decimal places, an absent AUROC as nan."""
+    return "nan" if v is None else f"{v:.6f}"
 
+
+def write_metrics_csv(rows: list[EpochRow], path) -> None:
     with open(path, "w") as f:
         f.write("epoch,split,loss,acc,precision,recall,f1,auroc\n")
         for r in rows:
-            f.write(f"{r.epoch},{r.split},{fmt(r.loss)},{fmt(r.accuracy)},"
-                    f"{fmt(r.precision)},{fmt(r.recall)},{fmt(r.f1)},{fmt(r.auroc)}\n")
+            metrics = (r.loss, r.accuracy, r.precision, r.recall, r.f1, r.auroc)
+            f.write(f"{r.epoch},{r.split},{','.join(map(format_metric, metrics))}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +358,16 @@ def check_dataset_shape(encoder: EncoderConfig, ds: Dataset) -> None:
             f"match encoder ({encoder.in_channels}, {encoder.clip_len})")
 
 
+def check_train_inputs(config: TrainConfig, ds_train: Dataset, ds_val: Dataset) -> None:
+    """Every check ``train`` makes before it builds a model: a valid config
+    and non-empty train and validation sets whose clips fit the encoder."""
+    config.validate()
+    if not ds_train.clips or not ds_val.clips:
+        raise ValidationError("train and validation datasets must be non-empty")
+    check_dataset_shape(config.encoder, ds_train)
+    check_dataset_shape(config.encoder, ds_val)
+
+
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
@@ -435,12 +446,7 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
     epoch budget may differ). The combined log of the interrupted and
     resumed runs is identical to an uninterrupted run's.
     """
-    config.validate()
-    if not ds_train.clips or not ds_val.clips:
-        raise ValidationError("train and validation datasets must be non-empty")
-    check_dataset_shape(config.encoder, ds_train)
-    check_dataset_shape(config.encoder, ds_val)
-
+    check_train_inputs(config, ds_train, ds_val)
     enc = Encoder(config.encoder, seed=config.seed)
     sel = _make_selector(config) if config.fs_enabled else None
     moments = AdamMoments.zeros_like(enc.params)

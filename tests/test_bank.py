@@ -206,6 +206,15 @@ class TestSampleTopK:
         s = bank.sample_top_k()
         assert s.selected_keys == [(1, 0)]
 
+    def test_recent_is_the_banks_newest_entry(self):
+        rng = np.random.default_rng(12)
+        bank = _bank()
+        for j in range(1, 4):
+            bank.push(j, _rand_entry(rng))
+        s = bank.sample_top_k()
+        assert np.shares_memory(s.recent, bank.entries[-1][1])
+        assert not s.recent.flags.writeable
+
 
 class TestApplyDecay:
     def test_factors(self):

@@ -204,6 +204,18 @@ class TestTrain:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (out / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("flags, expected", [
+        (["--no-fs", "--set", "q=0"], "bank_size 0"),
+        (["--set", "timestamps=100"], "dataset shape (4, 80) does not match encoder (4, 100)")],
+        ids=["no_fs_zero_bank", "corpus_shape"])
+    def test_rejected_run_creates_no_output_directory(self, tmp_path, capsys, flags, expected):
+        data = _gen(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "rejected"
+        rc = main(["train", "--data", str(data), "--out", str(out)] + _sets(SMALL) + flags)
+        assert rc == 2 and expected in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path):
         data = _gen(tmp_path)
@@ -264,6 +276,27 @@ class TestAblate:
         assert "K=99" in (out / "failures.txt").read_text()
         summary = (out / "summary.csv").read_text().strip().split("\n")
         assert len(summary) == 2  # header + the one surviving cell
+
+    def test_summary_and_failure_rows(self, tmp_path):
+        data = _gen(tmp_path)
+        out = tmp_path / "sweep_rows"
+        # q=0 fails the input checks (no directory); K=99 fails in training
+        rc = main(["ablate", "--data", str(data), "--grid", "q=0,2;K=1,99",
+                   "--out", str(out)] + _sets(SMALL))
+        assert rc == 1
+        assert (out / "summary.csv").read_text() == (
+            "q,K,m,gamma,val_acc,val_f1,val_auroc\n"
+            "2,1,0.2,0.25,0.166667,0.285714,0.171429\n")
+        assert (out / "failures.txt").read_text() == (
+            "K=1_q=0\tValidationError: bank_size 0 and top_k 1 must be >= 1\n"
+            "K=99_q=0\tValidationError: bank_size 0 and top_k 99 must be >= 1\n"
+            "K=99_q=2\tValidationError: top_k=99 exceeds the 16 gradients available\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "K=1_q=2", "K=99_q=2", "failures.txt", "summary.csv"]
+        assert [p.name for p in (out / "K=99_q=2").iterdir()] == ["config.resolved"]
+        # the summary's metrics are the cell's last validation row of metrics.csv
+        val = (out / "K=1_q=2" / "metrics.csv").read_text().splitlines()[-2].split(",")
+        assert val[1] == "val" and [val[3], val[6], val[7]] == ["0.166667", "0.285714", "0.171429"]
 
     def test_malformed_grid_exits_2(self, tmp_path):
         data = _gen(tmp_path)

@@ -290,7 +290,7 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("field, value, match", [
         ("label", 2, "label 2 not binary"), ("group_id", -1, "group_id -1"),
-        ("clip_id", 2**32, f"clip_id {2**32}")])
+        ("clip_id", 2**32, f"clip_id {2**32}"), ("label", 1.0, "label 1.0")])
     def test_clip_header_out_of_range_rejected_before_open(self, tmp_path, field, value, match):
         d = generate(_small_spec(n_clips=4, n_groups=2))
         path = tmp_path / "corpus.bin"
@@ -298,6 +298,17 @@ class TestFileFormat:
         before = path.read_bytes()
         setattr(d.clips[1], field, value)
         with pytest.raises(ValidationError, match=f"clip 1 .*{match}"):
+            write(d, path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("field, value", [("sample_rate", 2**32), ("n_groups", -1)])
+    def test_dataset_header_out_of_range_rejected_before_open(self, tmp_path, field, value):
+        d = generate(_small_spec(n_clips=4, n_groups=2))
+        path = tmp_path / "corpus.bin"
+        write(d, path)
+        before = path.read_bytes()
+        setattr(d, field, value)
+        with pytest.raises(ValidationError, match=f"dataset .*{field} {value}"):
             write(d, path)
         assert path.read_bytes() == before
 

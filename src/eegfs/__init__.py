@@ -21,7 +21,6 @@ from .data import CorpusSpec, Dataset, EegClip, ParseError, generate, read, spli
 from .encoder import Encoder, EncoderConfig
 from .metrics import MetricsReport, UndefinedMetricError, auroc, confusion, rates, report
 from .selection import (
-    AttributionMap,
     FeatureSelector,
     batch_pool,
     export_attribution,

@@ -4,9 +4,10 @@ sweeps, attribution export.
 Configuration is a flat ``key=value`` text file validated against a
 typed schema; ``--set key=value`` flags override file values. A run's
 directory is created once its input checks pass and receives a
-``config.resolved`` echo of the effective values. ``ablate`` runs the
-``train`` path per grid cell; its ``summary.csv`` has the ``GRID_KEYS``
-columns, then ``val_acc,val_f1,val_auroc``.
+``config.resolved`` echo of the effective values. ``ablate`` reads and
+splits the corpus once, then runs the ``train`` path per grid cell; its
+``summary.csv`` has the ``GRID_KEYS`` columns, then
+``val_acc,val_f1,val_auroc``.
 The schema's keys, parsers and defaults derive from the fields of
 ``CorpusSpec``, ``TrainConfig`` and ``EncoderConfig``; ``_KEYS`` lists
 the fields whose key differs from the field name.
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor, ValidationError
-from .data import CorpusSpec, generate, read, split, write
+from .data import CorpusSpec, Dataset, generate, read, split, write
 from .encoder import EncoderConfig
 from .selection import export_attribution, write_attribution_csv
 from .training import (
@@ -210,14 +211,19 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_into(values: dict, data_path: str, out_dir: Path,
-                resume_path: Optional[str]) -> EpochRow:
-    """Run one training into ``out_dir``, created once the inputs pass their
-    checks; returns the final epoch's validation row (for ablation summaries)."""
-    config = train_config_from(values)
+def _split_corpus(values: dict, data_path: str) -> tuple[Dataset, Dataset, Dataset]:
+    """The corpus at ``data_path`` split into train/val/test parts as ``values`` set."""
     ratios = (values["train_ratio"], values["val_ratio"], values["test_ratio"])
-    tr, va, te = split(read(data_path), ratios, by_group=values["split_by_group"],
-                       seed=values["split_seed"])
+    return split(read(data_path), ratios, by_group=values["split_by_group"],
+                 seed=values["split_seed"])
+
+
+def _train_into(values: dict, parts: tuple[Dataset, Dataset, Dataset], out_dir: Path,
+                resume_path: Optional[str]) -> EpochRow:
+    """Train on ``parts`` (train, val, test) into ``out_dir``, created once the
+    inputs pass their checks; returns the final epoch's validation row."""
+    config = train_config_from(values)
+    tr, va, te = parts
     check_train_inputs(config, tr, va)
     resume = load(resume_path) if resume_path else None
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,7 +250,8 @@ def _train_into(values: dict, data_path: str, out_dir: Path,
 
 def cmd_train(args) -> int:
     overrides = (args.set or []) + (["fs_enabled=false"] if args.no_fs else [])
-    _train_into(resolve_config(args.config, overrides), args.data, Path(args.out), args.resume)
+    values = resolve_config(args.config, overrides)
+    _train_into(values, _split_corpus(values, args.data), Path(args.out), args.resume)
     return 0
 
 
@@ -275,6 +282,7 @@ def parse_grid(grid: str) -> dict[str, list]:
 def cmd_ablate(args) -> int:
     values = resolve_config(args.config, args.set or [])
     grid = parse_grid(args.grid)
+    parts = _split_corpus(values, args.data)  # no grid key changes the corpus or its split
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
 
@@ -285,7 +293,7 @@ def cmd_ablate(args) -> int:
         cell = {**values, **dict(zip(keys, combo))}
         name = "_".join(f"{k}={_fmt(v)}" for k, v in zip(keys, combo))
         try:
-            row = _train_into(cell, args.data, out_root / name, None)
+            row = _train_into(cell, parts, out_root / name, None)
         except Exception as e:  # record and continue with the other cells
             failures += f"{name}\t{type(e).__name__}: {e}\n"
             print(f"cell {name} failed: {e}", file=sys.stderr)
@@ -314,10 +322,9 @@ def cmd_export_attribution(args) -> int:
     clip = matches[0]
 
     enc.forward(Tensor(clip.data[None, :, :]), fs=sel, mode="eval")
-    amap = export_attribution(sel, clip, config.encoder.stride_product(),
-                              layer=config.encoder.insertion_layer)
-    write_attribution_csv(amap, args.out)
-    peak = int(np.argmax(amap.upsampled_per_timestamp))
+    weights = export_attribution(sel, clip, config.encoder.stride_product())
+    write_attribution_csv(weights, args.out)
+    peak = int(np.argmax(weights))
     print(f"clip={clip.clip_id} label={clip.label} peak_timestamp={peak}")
     return 0
 

@@ -89,6 +89,16 @@ class BinaryReader:
             raise ParseError(self.offset, f"{self.size - self.offset} trailing bytes")
 
 
+def pack(fmt: str, what: str, **values) -> bytes:
+    """``struct.pack(fmt, *values)`` for the writers; a value its field cannot
+    hold raises ValidationError naming ``what`` and each field with its value."""
+    try:
+        return struct.pack(fmt, *values.values())
+    except struct.error as e:
+        named = ", ".join(f"{k} {v!r}" for k, v in values.items())
+        raise ValidationError(f"{what} {named}: {e}") from None
+
+
 @dataclass
 class EegClip:
     """One fixed-length clip of C-contiguous float32 samples, widened to
@@ -358,21 +368,13 @@ def split(d: Dataset, ratios: tuple[float, float, float], by_group: bool,
     return make(buckets[0]), make(buckets[1]), make(buckets[2])
 
 
-def _pack(fmt: str, what: str, **values) -> bytes:
-    try:
-        return struct.pack(fmt, *values.values())
-    except struct.error as e:  # a value the field cannot hold
-        named = ", ".join(f"{k} {v!r}" for k, v in values.items())
-        raise ValidationError(f"{what} {named}: {e}") from None
-
-
 def write(d: Dataset, path) -> None:
     """Binary layout: magic, u16 version, u32 header fields, then per clip
     u32 clip_id, u32 group_id, u8 label and little-endian f32 samples.
     The header and every clip's shape, label and ids are checked and packed
     before the file is opened, so a rejected dataset leaves an existing file intact."""
-    head = _pack("<5I", "dataset", n_clips=len(d.clips), channels=d.channels,
-                 timestamps=d.timestamps, sample_rate=d.sample_rate, n_groups=d.n_groups)
+    head = pack("<5I", "dataset", n_clips=len(d.clips), channels=d.channels,
+                timestamps=d.timestamps, sample_rate=d.sample_rate, n_groups=d.n_groups)
     shape = (d.channels, d.timestamps)
     clip_heads = []
     for i, c in enumerate(d.clips):
@@ -381,8 +383,8 @@ def write(d: Dataset, path) -> None:
                                   f"expected the dataset's {shape}")
         if c.label not in (0, 1):
             raise ValidationError(f"clip {i} (id {c.clip_id}) label {c.label} not binary")
-        clip_heads.append(_pack("<IIB", f"clip {i}", clip_id=c.clip_id,
-                                group_id=c.group_id, label=c.label))
+        clip_heads.append(pack("<IIB", f"clip {i}", clip_id=c.clip_id,
+                               group_id=c.group_id, label=c.label))
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<H", FORMAT_VERSION) + head)
         for c, clip_head in zip(d.clips, clip_heads):

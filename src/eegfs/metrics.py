@@ -1,5 +1,5 @@
-"""Binary-classification metrics: confusion counts, threshold rates, and
-rank-based AUROC with midrank tie handling."""
+"""Binary-classification metrics: confusion counts at ``prob >= 0.5``, the
+rates they give, and rank-based AUROC with midrank tie handling."""
 
 from __future__ import annotations
 
@@ -29,14 +29,13 @@ class MetricsReport:
     n: int
 
 
-def confusion(scores: Sequence[tuple[float, int]], threshold: float = 0.5
-              ) -> tuple[int, int, int, int]:
-    """(tp, fp, tn, fn) of predictions ``prob >= threshold``."""
+def confusion(scores: Sequence[tuple[float, int]]) -> tuple[int, int, int, int]:
+    """(tp, fp, tn, fn), predicting positive where ``prob >= 0.5``."""
     tp = fp = tn = fn = 0
     for prob, label in scores:
         if not 0.0 <= prob <= 1.0:
             raise ValidationError(f"probability {prob} outside [0, 1]")
-        pred = prob >= threshold
+        pred = prob >= 0.5
         if pred and label == 1:
             tp += 1
         elif pred and label == 0:
@@ -83,9 +82,9 @@ def auroc(scores: Sequence[tuple[float, int]]) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def report(scores: Sequence[tuple[float, int]], threshold: float = 0.5) -> MetricsReport:
-    """Full report; AUROC is absent (None) when undefined."""
-    tp, fp, tn, fn = confusion(scores, threshold)
+def report(scores: Sequence[tuple[float, int]]) -> MetricsReport:
+    """Full report, counted at ``prob >= 0.5``; AUROC is None when undefined."""
+    tp, fp, tn, fn = confusion(scores)
     accuracy, precision, recall, f1 = rates(tp, fp, tn, fn)
     try:
         auc = auroc(scores)

@@ -10,12 +10,14 @@ The weight vector is a constant with respect to the current forward
 pass; everything downstream of it (heat-map normalization, pooling,
 probabilities, entropies, location weights) is differentiable, so the
 training gradient flows through the full selection path.
+
+``export_attribution`` expands the last pass's location weights to one
+weight per input timestamp, and ``write_attribution_csv`` writes them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,19 +30,8 @@ from .encoder import ACTIVATIONS
 _EPS_H = 1e-12  # below this largest entropy every location keeps full weight
 
 
-@dataclass
-class AttributionMap:
-    """Per-location weights expanded back to input-signal resolution."""
-
-    lambda_per_location: np.ndarray     # (S,)
-    upsampled_per_timestamp: np.ndarray  # (t,)
-    clip_id: int
-    layer: int
-
-
 def batch_pool(h: Tensor) -> Tensor:
     """Mean over the batch axis of (B, C, S) -> (C, S)."""
-    h = h if isinstance(h, Tensor) else Tensor(h)
     if h.data.ndim != 3:
         raise DimensionError(f"batch_pool: need (B,C,S), got {h.shape}")
     return ad.mean_over_axes(h, (0,))
@@ -53,7 +44,6 @@ def heat_map(h: Tensor, alpha: np.ndarray, sel: "FeatureSelector", mode: str) ->
     with ``sel.bn``, the selector's own running statistics, using its
     ``bn_eps`` and ``bn_momentum`` (affine fixed at identity).
     """
-    h = h if isinstance(h, Tensor) else Tensor(h)
     if h.data.ndim != 3:
         raise DimensionError(f"heat_map: need (B,C,S), got {h.shape}")
     chans = h.shape[1]
@@ -143,10 +133,9 @@ def fs_forward(h: Tensor, bank: GradientBank, sel: FeatureSelector, mode: str) -
     return ad.add(h, ad.mul(v, lam))
 
 
-def export_attribution(sel: FeatureSelector, clip, stride_product: int,
-                       layer: int = 0) -> AttributionMap:
-    """Expand the selector's last location weights (``sel.last_lambda``) to
-    raw-signal resolution.
+def export_attribution(sel: FeatureSelector, clip, stride_product: int) -> np.ndarray:
+    """The selector's last location weights (``sel.last_lambda``) expanded
+    to ``clip``'s raw-signal resolution: one weight per timestamp, (T,).
 
     Nearest-neighbor upsampling by the encoder's cumulative temporal
     reduction factor; timestamps past the covered span (convolution edge
@@ -157,20 +146,14 @@ def export_attribution(sel: FeatureSelector, clip, stride_product: int,
     if stride_product < 1:
         raise ValidationError(f"stride_product must be >= 1, got {stride_product}")
     lam = sel.last_lambda
-    t_len = clip.data.shape[1]
-    idx = np.minimum(np.arange(t_len) // stride_product, len(lam) - 1)
-    return AttributionMap(
-        lambda_per_location=lam.copy(),
-        upsampled_per_timestamp=lam[idx],
-        clip_id=clip.clip_id,
-        layer=layer,
-    )
+    idx = np.minimum(np.arange(clip.data.shape[1]) // stride_product, len(lam) - 1)
+    return lam[idx]
 
 
-def write_attribution_csv(amap: AttributionMap, path) -> None:
+def write_attribution_csv(weights: np.ndarray, path) -> None:
     """CSV with one row per sample point: ``timestamp,weight`` (9 sig. digits)."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["timestamp", "weight"])
-        for ts, w in enumerate(amap.upsampled_per_timestamp):
+        for ts, w in enumerate(weights):
             writer.writerow([ts, f"{w:.9g}"])

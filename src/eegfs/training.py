@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, ValidationError
 from .bank import BankUsageError, GradientBank, NonFiniteGradientError
-from .data import BinaryReader, Dataset, ParseError
+from .data import BinaryReader, Dataset, ParseError, pack
 from .encoder import ACTIVATIONS, Encoder, EncoderConfig
 from .metrics import MetricsReport, report
 from .selection import FeatureSelector
@@ -236,19 +236,28 @@ def _config_tensors(config: TrainConfig) -> dict[str, np.ndarray]:
 
 
 def save(ckpt: Checkpoint, path) -> None:
-    """Magic, version, tensor count, then sorted named f64 tensors."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<H", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(ckpt.tensors)))
-        for name in sorted(ckpt.tensors):
-            arr = np.asarray(ckpt.tensors[name], dtype=np.float64)  # keeps rank 0
+    """Magic, version, tensor count, then sorted named f64 tensors.
+    Every tensor is converted and its header packed before the file is
+    opened, so a tensor the format cannot hold raises ValidationError
+    naming it and leaves an existing file intact."""
+    records = []
+    for name in sorted(ckpt.tensors):
+        what = f"checkpoint tensor {name!r}"
+        try:
+            # keeps a rank-0 tensor rank 0 and copies no C-order <f8 array
+            arr = np.require(ckpt.tensors[name], "<f8", "C")
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<BB", _DTYPE_F64, arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").data)  # no copy when already <f8
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"{what}: {e}") from None
+        dims = {f"dim {i}": n for i, n in enumerate(arr.shape)}
+        records.append((pack("<H", what, name_length=len(encoded)) + encoded
+                        + struct.pack("<BB", _DTYPE_F64, arr.ndim)
+                        + pack(f"<{arr.ndim}I", what, **dims), arr))
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(records)))
+        for head, arr in records:
+            f.write(head)
+            f.write(arr.data)
 
 
 def load(path) -> Checkpoint:
@@ -480,17 +489,16 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
         rng = np.random.default_rng([config.seed, epoch])
         train_scores: list[tuple[float, int]] = []
         loss_sum = 0.0
-        n_seen = 0
         for idx in _batches(len(ds_train.clips), config.batch_size, rng):
             iteration += 1
             loss_val, probs, y = _train_step(config, enc, sel, moments, traj,
                                              ds_train, idx, iteration)
             loss_sum += loss_val * len(y)
-            n_seen += len(y)
             for p, label in zip(probs, y):
                 train_scores.append((float(p), int(label)))
 
-        log.append(EpochRow.from_scores(epoch, "train", loss_sum / n_seen, train_scores))
+        log.append(EpochRow.from_scores(epoch, "train", loss_sum / len(ds_train.clips),
+                                        train_scores))
         val_scores, val_loss = _run_eval(enc, sel, ds_val, config.batch_size)
         val_row = EpochRow.from_scores(epoch, "val", val_loss, val_scores)
         log.append(val_row)

@@ -450,7 +450,7 @@ def test_criterion_8_attribution(default_splits, e2e_runs):
             continue
         enc.forward(Tensor(clip.data[None]), fs=sel, mode="eval")
         amap = export_attribution(sel, clip, factor)
-        peak = int(np.argmax(amap.upsampled_per_timestamp))
+        peak = int(np.argmax(amap))
         lo, hi = clip.spike_window
         hits += int(lo <= peak <= hi)
         total += 1

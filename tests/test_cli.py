@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eegfs import ValidationError, cli
+from eegfs.autodiff import Tensor
 from eegfs.cli import (
     corpus_spec_from,
     main,
@@ -14,7 +15,8 @@ from eegfs.cli import (
 )
 from eegfs.data import CorpusSpec, read
 from eegfs.encoder import EncoderConfig
-from eegfs.training import TrainConfig, load, save
+from eegfs.selection import export_attribution
+from eegfs.training import TrainConfig, load, restore_model, save
 
 
 SMALL = [
@@ -332,6 +334,24 @@ class TestExportAttribution:
         lines = csv_path.read_text().strip().split("\n")
         assert len(lines) == 1 + 80  # header + one row per timestamp
 
+    def test_csv_holds_library_weights_and_peak(self, tmp_path, capsys):
+        data, out = self._trained(tmp_path)
+        clip = next(c for c in read(data).clips if c.label == 1)
+        csv_path = tmp_path / "attr.csv"
+        capsys.readouterr()
+        rc = main(["export-attribution", "--checkpoint", str(out / "checkpoint.bin"),
+                   "--data", str(data), "--clip", str(clip.clip_id),
+                   "--out", str(csv_path)])
+        assert rc == 0
+        config, enc, sel = restore_model(load(out / "checkpoint.bin"))
+        enc.forward(Tensor(clip.data[None]), fs=sel, mode="eval")
+        weights = export_attribution(sel, clip, config.encoder.stride_product())
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert [int(ts) for ts, _ in rows] == list(range(len(weights)))
+        assert [w for _, w in rows] == [f"{w:.9g}" for w in weights]
+        peak = int(np.argmax([float(w) for _, w in rows]))
+        assert f"peak_timestamp={peak}\n" in capsys.readouterr().out
+
     def test_missing_frozen_alpha_exits_2(self, tmp_path, capsys):
         data = _gen(tmp_path)
         rc, out = _train(tmp_path, data, "warm", extra=("epochs=1", "batch_size=64"))
@@ -417,6 +437,11 @@ def _zero_bank_without_selection(tmp_path, data, ckpt):
             + _sets(SMALL + ["q=0"]))
 
 
+def _ablate_missing_corpus(tmp_path, data, ckpt):
+    return ["ablate", "--data", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "o"),
+            "--grid", "q=2,3"] + _sets(SMALL)
+
+
 class TestInvalidInputExits2:
     @pytest.fixture(scope="class")
     def nofs_run(self, tmp_path_factory):
@@ -434,7 +459,8 @@ class TestInvalidInputExits2:
         (_bad_checkpoint_magic, "bad magic"),
         (_block_too_long, "block 0: kernel 99"),
         (_attribution_without_selection, "no frozen channel weights"),
-        (_zero_bank_without_selection, "bank_size 0")])
+        (_zero_bank_without_selection, "bank_size 0"),
+        (_ablate_missing_corpus, "nope.bin")])
     def test_one_error_line_and_no_traceback(self, tmp_path, capsys, nofs_run, case, expected):
         argv = case(tmp_path, *nofs_run)
         capsys.readouterr()
@@ -443,3 +469,7 @@ class TestInvalidInputExits2:
         assert rc == 2
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "Traceback" not in err and expected in err
+
+    def test_ablate_missing_corpus_creates_no_out_directory(self, tmp_path, nofs_run):
+        assert main(_ablate_missing_corpus(tmp_path, *nofs_run)) == 2
+        assert not (tmp_path / "o").exists()

@@ -7,7 +7,6 @@ import pytest
 from eegfs.autodiff import Tape, Tensor, ValidationError, backward, sum_over_axes, mul
 from eegfs.bank import GradientBank
 from eegfs.selection import (
-    AttributionMap,
     FeatureSelector,
     batch_pool,
     export_attribution,
@@ -249,8 +248,8 @@ class TestExportAttribution:
         fs.last_lambda = np.ones(5)
         clip = _FakeClip(np.zeros((2, 250)), clip_id=7)
         amap = export_attribution(fs, clip, stride_product=50)
-        assert amap.upsampled_per_timestamp.shape == (250,)
-        np.testing.assert_array_equal(amap.upsampled_per_timestamp, 1.0)
+        assert amap.shape == (250,)
+        np.testing.assert_array_equal(amap, 1.0)
 
     def test_exact_repeat(self):
         fs = _selector(channels=4)
@@ -258,7 +257,7 @@ class TestExportAttribution:
         clip = _FakeClip(np.zeros((2, 250)), clip_id=1)
         amap = export_attribution(fs, clip, stride_product=50)
         np.testing.assert_array_equal(
-            amap.upsampled_per_timestamp, np.repeat(fs.last_lambda, 50))
+            amap, np.repeat(fs.last_lambda, 50))
 
     def test_tail_clamps_to_last_location(self):
         fs = _selector(channels=2)
@@ -266,7 +265,7 @@ class TestExportAttribution:
         clip = _FakeClip(np.zeros((1, 9)), clip_id=0)
         amap = export_attribution(fs, clip, stride_product=4)
         np.testing.assert_array_equal(
-            amap.upsampled_per_timestamp,
+            amap,
             [0.25, 0.25, 0.25, 0.25, 0.75, 0.75, 0.75, 0.75, 0.75])
 
     def test_missing_lambda_rejected(self):
@@ -275,10 +274,7 @@ class TestExportAttribution:
             export_attribution(fs, _FakeClip(np.zeros((1, 8)), 0), 2)
 
     def test_csv_format(self, tmp_path):
-        amap = AttributionMap(
-            lambda_per_location=np.array([0.123456789123]),
-            upsampled_per_timestamp=np.array([0.123456789123, 1.0]),
-            clip_id=0, layer=0)
+        amap = np.array([0.123456789123, 1.0])
         path = tmp_path / "attr.csv"
         write_attribution_csv(amap, path)
         lines = path.read_text().strip().split("\n")

@@ -603,6 +603,17 @@ class TestCheckpointIO:
             load(p)
         assert e.value.offset == at
 
+    @pytest.mark.parametrize("tensors, expected", [
+        ({"x" * 70000: np.zeros(1)}, "name_length 70000"),
+        ({"a": np.zeros(1), "s": np.array(["s"])}, "checkpoint tensor 's'")],
+        ids=["name_too_long", "not_numeric"])
+    def test_unsavable_tensor_leaves_file_intact(self, tmp_path, tensors, expected):
+        p = tmp_path / "ck.bin"
+        p.write_bytes(bytes(range(200)) * 5)
+        with pytest.raises(ValidationError, match=expected):
+            save(Checkpoint(tensors), p)
+        assert p.read_bytes() == bytes(range(200)) * 5
+
     def test_overflowing_dims_rejected(self, tmp_path):
         # (2**32 - 1)**2 elements wraps to a negative int64 byte count
         p = tmp_path / "ck.bin"

@@ -97,9 +97,6 @@ class GradientBank:
         # flattened row norms of held entries, by iteration, filled by sampling
         self._row_norms: dict[int, np.ndarray] = {}
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @property
     def is_full(self) -> bool:
         return len(self.entries) == self.capacity + 1

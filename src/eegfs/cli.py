@@ -235,8 +235,8 @@ def _train_into(values: dict, parts: tuple[Dataset, Dataset, Dataset], out_dir: 
     save(result.best, out_dir / "checkpoint_best.bin")
     rows = list(result.log)
     if te.clips:
-        test_scores, test_loss = predict(result.final, te, config.batch_size)
-        rows.append(EpochRow.from_scores(config.epochs, "test", test_loss, test_scores))
+        probs, labels, loss = predict(result.final, te, config.batch_size)
+        rows.append(EpochRow.from_scores(config.epochs, "test", loss, probs, labels))
     write_metrics_csv(rows, out_dir / "metrics.csv")
     if result.alpha_trajectory_sha256 is not None:
         (out_dir / "alpha_trajectory.txt").write_text(

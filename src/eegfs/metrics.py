@@ -1,10 +1,11 @@
-"""Binary-classification metrics: confusion counts at ``prob >= 0.5``, the
+"""Binary-classification metrics over arrays of positive-class
+probabilities and 0/1 labels: confusion counts at ``prob >= 0.5``, the
 rates they give, and rank-based AUROC with midrank tie handling."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,22 +30,18 @@ class MetricsReport:
     n: int
 
 
-def confusion(scores: Sequence[tuple[float, int]]) -> tuple[int, int, int, int]:
+def confusion(probs: np.ndarray, labels: np.ndarray) -> tuple[int, int, int, int]:
     """(tp, fp, tn, fn), predicting positive where ``prob >= 0.5``."""
-    tp = fp = tn = fn = 0
-    for prob, label in scores:
-        if not 0.0 <= prob <= 1.0:
-            raise ValidationError(f"probability {prob} outside [0, 1]")
-        pred = prob >= 0.5
-        if pred and label == 1:
-            tp += 1
-        elif pred and label == 0:
-            fp += 1
-        elif not pred and label == 0:
-            tn += 1
-        else:
-            fn += 1
-    return tp, fp, tn, fn
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels)
+    if p.shape != y.shape:
+        raise ValidationError(f"{p.shape} probabilities for {y.shape} labels")
+    outside = ~((p >= 0.0) & (p <= 1.0))  # NaN included
+    if outside.any():
+        raise ValidationError(f"probability {float(p[outside][0])} outside [0, 1]")
+    pred = p >= 0.5
+    tp, fp, tn = (int(m.sum()) for m in (pred & (y == 1), pred & (y == 0), ~pred & (y == 0)))
+    return tp, fp, tn, p.size - tp - fp - tn
 
 
 def rates(tp: int, fp: int, tn: int, fn: int) -> tuple[float, float, float, float]:
@@ -65,11 +62,11 @@ def rates(tp: int, fp: int, tn: int, fn: int) -> tuple[float, float, float, floa
     return accuracy, precision, recall, f1
 
 
-def auroc(scores: Sequence[tuple[float, int]]) -> float:
+def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-statistic AUROC: probability a positive outranks a negative,
     ties counted one half (midranks)."""
-    s = np.array([p for p, _ in scores], dtype=np.float64)
-    y = np.array([l for _, l in scores], dtype=np.int64)
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -82,14 +79,11 @@ def auroc(scores: Sequence[tuple[float, int]]) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def report(scores: Sequence[tuple[float, int]]) -> MetricsReport:
+def report(probs: np.ndarray, labels: np.ndarray) -> MetricsReport:
     """Full report, counted at ``prob >= 0.5``; AUROC is None when undefined."""
-    tp, fp, tn, fn = confusion(scores)
-    accuracy, precision, recall, f1 = rates(tp, fp, tn, fn)
+    tp, fp, tn, fn = confusion(probs, labels)
     try:
-        auc = auroc(scores)
+        auc = auroc(probs, labels)
     except UndefinedMetricError:
         auc = None
-    return MetricsReport(tp=tp, fp=fp, tn=tn, fn=fn, accuracy=accuracy,
-                         precision=precision, recall=recall, f1=f1,
-                         auroc=auc, n=tp + fp + tn + fn)
+    return MetricsReport(tp, fp, tn, fn, *rates(tp, fp, tn, fn), auroc=auc, n=tp + fp + tn + fn)

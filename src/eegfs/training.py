@@ -78,22 +78,17 @@ class TrainConfig:
 
 
 @dataclass
-class EpochRow:
+class EpochRow(MetricsReport):
+    """The metrics report of one split after an epoch, with its mean loss."""
+
     epoch: int
     split: str
     loss: float
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    auroc: Optional[float]
 
     @classmethod
-    def from_scores(cls, epoch: int, split: str, loss: float,
-                    scores: list[tuple[float, int]]) -> "EpochRow":
-        r = report(scores)
-        return cls(epoch=epoch, split=split, loss=loss, accuracy=r.accuracy,
-                   precision=r.precision, recall=r.recall, f1=r.f1, auroc=r.auroc)
+    def from_scores(cls, epoch: int, split: str, loss: float, probs: np.ndarray,
+                    labels: np.ndarray) -> "EpochRow":
+        return cls(epoch=epoch, split=split, loss=loss, **vars(report(probs, labels)))
 
 
 def format_metric(v: Optional[float]) -> str:
@@ -238,14 +233,18 @@ def _config_tensors(config: TrainConfig) -> dict[str, np.ndarray]:
 def save(ckpt: Checkpoint, path) -> None:
     """Magic, version, tensor count, then sorted named f64 tensors.
     Every tensor is converted and its header packed before the file is
-    opened, so a tensor the format cannot hold raises ValidationError
-    naming it and leaves an existing file intact."""
+    opened, so a tensor the format cannot hold (a name too long, a value
+    that is not boolean, integer or float) raises ValidationError naming
+    it and leaves an existing file intact."""
     records = []
     for name in sorted(ckpt.tensors):
         what = f"checkpoint tensor {name!r}"
         try:
+            arr = np.asarray(ckpt.tensors[name])
+            if arr.dtype.kind not in "biuf":  # None, complex, str: no exact float64 value
+                raise TypeError(f"dtype {arr.dtype} is not boolean, integer or float")
             # keeps a rank-0 tensor rank 0 and copies no C-order <f8 array
-            arr = np.require(ckpt.tensors[name], "<f8", "C")
+            arr = np.require(arr, "<f8", "C")
             encoded = name.encode("utf-8")
         except (TypeError, ValueError) as e:
             raise ValidationError(f"{what}: {e}") from None
@@ -394,19 +393,19 @@ def _positive_probs(logits: np.ndarray) -> np.ndarray:
 
 
 def _run_eval(enc: Encoder, sel: Optional[FeatureSelector], ds: Dataset,
-              batch_size: int) -> tuple[list[tuple[float, int]], float]:
+              batch_size: int) -> tuple[np.ndarray, np.ndarray, float]:
     if not ds.clips:
         raise ValidationError("evaluation dataset must be non-empty")
-    scores: list[tuple[float, int]] = []
+    batches = []
     loss_sum = 0.0
     for start in range(0, len(ds.clips), batch_size):
         idx = range(start, min(start + batch_size, len(ds.clips)))
         x, y = _stack(ds, idx)
         logits, _ = enc.forward(x, fs=sel, mode="eval")
         loss_sum += ad.cross_entropy_logits(logits, y).item() * len(y)
-        for p, label in zip(_positive_probs(logits.data), y):
-            scores.append((float(p), int(label)))
-    return scores, loss_sum / len(ds.clips)
+        batches.append((_positive_probs(logits.data), y))
+    probs, labels = map(np.concatenate, zip(*batches))
+    return probs, labels, loss_sum / len(ds.clips)
 
 
 @dataclass
@@ -487,20 +486,20 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
 
     for epoch in range(start_epoch + 1, config.epochs + 1):
         rng = np.random.default_rng([config.seed, epoch])
-        train_scores: list[tuple[float, int]] = []
+        batches = []
         loss_sum = 0.0
         for idx in _batches(len(ds_train.clips), config.batch_size, rng):
             iteration += 1
             loss_val, probs, y = _train_step(config, enc, sel, moments, traj,
                                              ds_train, idx, iteration)
             loss_sum += loss_val * len(y)
-            for p, label in zip(probs, y):
-                train_scores.append((float(p), int(label)))
+            batches.append((probs, y))
 
+        probs, labels = map(np.concatenate, zip(*batches))
         log.append(EpochRow.from_scores(epoch, "train", loss_sum / len(ds_train.clips),
-                                        train_scores))
-        val_scores, val_loss = _run_eval(enc, sel, ds_val, config.batch_size)
-        val_row = EpochRow.from_scores(epoch, "val", val_loss, val_scores)
+                                        probs, labels))
+        probs, labels, val_loss = _run_eval(enc, sel, ds_val, config.batch_size)
+        val_row = EpochRow.from_scores(epoch, "val", val_loss, probs, labels)
         log.append(val_row)
 
         if val_row.accuracy > best_acc:
@@ -515,10 +514,10 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
 
 
 def predict(ckpt: Checkpoint, ds: Dataset,
-            batch_size: int = 64) -> tuple[list[tuple[float, int]], float]:
-    """Eval-mode (positive-class probability, label) per clip and the mean
-    loss of a checkpoint's model, selecting with its saved channel weights
-    (none: selection is the identity)."""
+            batch_size: int = 64) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eval-mode positive-class probabilities and labels, in clip order, and
+    the mean loss of a checkpoint's model, selecting with its saved channel
+    weights (none: selection is the identity)."""
     config, enc, sel = restore_model(ckpt)
     check_dataset_shape(config.encoder, ds)
     return _run_eval(enc, sel, ds, batch_size)
@@ -530,4 +529,5 @@ def evaluate(ckpt: Checkpoint, ds: Dataset, batch_size: int = 64) -> MetricsRepo
         raise ValidationError(
             "checkpoint has no frozen channel weights; evaluation with the "
             "selection module enabled requires a completed training run")
-    return report(predict(ckpt, ds, batch_size)[0])
+    probs, labels, _ = predict(ckpt, ds, batch_size)
+    return report(probs, labels)

@@ -191,8 +191,8 @@ def test_criterion_2_oracle_equivalences():
         labels = [y for _, y in scores]
         if len(set(labels)) < 2:
             continue
-        assert abs(auroc(scores) - auroc_pair_count([p for p, _ in scores],
-                                                    labels)) < 1e-12
+        assert abs(auroc(*zip(*scores)) - auroc_pair_count([p for p, _ in scores],
+                                                            labels)) < 1e-12
 
     for _ in range(20):  # conv / matmul / batchnorm / entropy vs loop oracles
         a = rng.standard_normal((3, 4))

@@ -6,9 +6,11 @@ changed signature makes a traced run fail."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from eegfs import selection
 from eegfs.data import CorpusSpec, generate, split
-from eegfs.training import TrainConfig, train
+from eegfs.training import EpochRow, TrainConfig, train
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -37,3 +39,11 @@ def test_traced_run_reaches_every_layer():
     names = {s.name for s in tracer.spans}
     assert {"selection.forward", "selection.bwd", "bank.sample_top_k", "bank.push",
             "autodiff.backward", "training.adam_step"} <= names
+
+
+def test_epoch_rows_report_through_the_patched_name():
+    tracer = _tracer()
+    with tracer.active():
+        row = EpochRow.from_scores(1, "val", 0.5, np.array([0.2, 0.9]), np.array([0, 1]))
+    assert [s.name for s in tracer.spans] == ["metrics.report"]
+    assert (row.tp, row.tn, row.accuracy, row.auroc) == (1, 1, 1.0, 1.0)

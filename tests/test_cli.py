@@ -442,6 +442,61 @@ def _ablate_missing_corpus(tmp_path, data, ckpt):
             "--grid", "q=2,3"] + _sets(SMALL)
 
 
+def _train_argv(tmp_path, data, *args):
+    return ["train", "--data", str(data), "--out", str(tmp_path / "o"), *args] + _sets(SMALL)
+
+
+def _ablate_argv(tmp_path, data, grid):
+    return ["ablate", "--data", str(data), "--out", str(tmp_path / "o"),
+            "--grid", grid] + _sets(SMALL)
+
+
+def _bool_not_parsed(tmp_path, data, ckpt):
+    return _train_argv(tmp_path, data, "--set", "fs_enabled=maybe")
+
+
+def _block_missing_field(tmp_path, data, ckpt):
+    return _train_argv(tmp_path, data, "--set", "blocks=4:5:1")
+
+
+def _config_line_without_equals(tmp_path, data, ckpt):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=2\nnonsense\n")
+    return _train_argv(tmp_path, data, "--config", str(cfg))
+
+
+def _config_missing(tmp_path, data, ckpt):
+    return _train_argv(tmp_path, data, "--config", str(tmp_path / "missing.cfg"))
+
+
+def _set_comment(tmp_path, data, ckpt):
+    return _train_argv(tmp_path, data, "--set", "#x")
+
+
+def _grid_clause_without_values(tmp_path, data, ckpt):
+    return _ablate_argv(tmp_path, data, "q")
+
+
+def _grid_key_twice(tmp_path, data, ckpt):
+    return _ablate_argv(tmp_path, data, "q=2;q=3")
+
+
+def _grid_empty(tmp_path, data, ckpt):
+    return _ablate_argv(tmp_path, data, ";")
+
+
+# rejected while the settings are read, before --out is created
+_BAD_SETTINGS = [
+    (_bool_not_parsed, "expected a boolean"),
+    (_block_missing_field, "needs out:kernel:stride:pool"),
+    (_config_line_without_equals, "expected key=value"),
+    (_config_missing, "not found"),
+    (_set_comment, "expected key=value"),
+    (_grid_clause_without_values, "is not key=v1,v2"),
+    (_grid_key_twice, "given twice"),
+    (_grid_empty, "empty grid")]
+
+
 class TestInvalidInputExits2:
     @pytest.fixture(scope="class")
     def nofs_run(self, tmp_path_factory):
@@ -460,7 +515,8 @@ class TestInvalidInputExits2:
         (_block_too_long, "block 0: kernel 99"),
         (_attribution_without_selection, "no frozen channel weights"),
         (_zero_bank_without_selection, "bank_size 0"),
-        (_ablate_missing_corpus, "nope.bin")])
+        (_ablate_missing_corpus, "nope.bin"),
+        *_BAD_SETTINGS])
     def test_one_error_line_and_no_traceback(self, tmp_path, capsys, nofs_run, case, expected):
         argv = case(tmp_path, *nofs_run)
         capsys.readouterr()
@@ -472,4 +528,9 @@ class TestInvalidInputExits2:
 
     def test_ablate_missing_corpus_creates_no_out_directory(self, tmp_path, nofs_run):
         assert main(_ablate_missing_corpus(tmp_path, *nofs_run)) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", [case for case, _ in _BAD_SETTINGS])
+    def test_bad_setting_creates_no_out(self, tmp_path, nofs_run, case):
+        assert main(case(tmp_path, *nofs_run)) == 2
         assert not (tmp_path / "o").exists()

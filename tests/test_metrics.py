@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eegfs.autodiff import ValidationError
 from eegfs.metrics import UndefinedMetricError, auroc, confusion, rates, report
 from _oracles import auroc_midrank_loop, auroc_pair_count
 
@@ -10,11 +11,11 @@ from _oracles import auroc_midrank_loop, auroc_pair_count
 class TestConfusion:
     def test_perfect_separation(self):
         scores = [(0.9, 1), (0.8, 1), (0.1, 0), (0.2, 0)]
-        assert confusion(scores) == (2, 0, 2, 0)
+        assert confusion(*zip(*scores)) == (2, 0, 2, 0)
 
     def test_all_predicted_positive(self):
         scores = [(0.9, 1), (0.8, 0), (0.7, 1), (0.6, 0)]
-        tp, fp, tn, fn = confusion(scores)
+        tp, fp, tn, fn = confusion(*zip(*scores))
         _, precision, recall, _ = rates(tp, fp, tn, fn)
         assert recall == 1.0 and precision == 0.5
 
@@ -25,10 +26,19 @@ class TestConfusion:
         fp = sum(1 for p, y in scores if p >= 0.5 and y == 0)
         tn = sum(1 for p, y in scores if p < 0.5 and y == 0)
         fn = sum(1 for p, y in scores if p < 0.5 and y == 1)
-        assert confusion(scores) == (tp, fp, tn, fn)
+        assert confusion(*zip(*scores)) == (tp, fp, tn, fn)
 
     def test_threshold_is_inclusive(self):
-        assert confusion([(0.5, 1)]) == (1, 0, 0, 0)
+        assert confusion([0.5], [1]) == (1, 0, 0, 0)
+
+    @pytest.mark.parametrize("prob", [-0.1, 1.5, float("nan")])
+    def test_first_probability_outside_unit_interval_named(self, prob):
+        with pytest.raises(ValidationError, match=rf"^probability {prob} outside \[0, 1\]$"):
+            confusion([0.3, prob, 2.0], [0, 1, 1])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="probabilities for"):
+            confusion([0.2, 0.7], [1])
 
 
 class TestRates:
@@ -59,11 +69,11 @@ class TestRates:
 class TestAuroc:
     def test_perfect_ordering(self):
         scores = [(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]
-        assert auroc(scores) == 1.0
+        assert auroc(*zip(*scores)) == 1.0
 
     def test_all_identical_scores(self):
         scores = [(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)]
-        assert auroc(scores) == 0.5
+        assert auroc(*zip(*scores)) == 0.5
 
     def test_against_pair_count_oracle(self):
         rng = np.random.default_rng(2)
@@ -74,7 +84,7 @@ class TestAuroc:
             labels = [y for _, y in scores]
             if len(set(labels)) < 2:
                 continue
-            got = auroc(scores)
+            got = auroc(*zip(*scores))
             want = auroc_pair_count([p for p, _ in scores], labels)
             assert abs(got - want) < 1e-12
 
@@ -87,11 +97,11 @@ class TestAuroc:
                      else rng.random(n))
             labels = rng.integers(0, 2, n)
             labels[0], labels[1] = 0, 1
-            assert auroc(list(zip(probs, labels))) == auroc_midrank_loop(probs, labels)
+            assert auroc(probs, labels) == auroc_midrank_loop(probs, labels)
 
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            auroc([(0.3, 1), (0.9, 1)])
+            auroc([0.3, 0.9], [1, 1])
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
@@ -101,8 +111,8 @@ class TestAuroc:
             labels = rng.integers(0, 2, size=n)
             if labels.min() == labels.max():
                 continue
-            base = auroc(list(zip(probs, labels)))
-            warped = auroc(list(zip(1 / (1 + np.exp(-5 * probs)), labels)))
+            base = auroc(probs, labels)
+            warped = auroc(1 / (1 + np.exp(-5 * probs)), labels)
             assert abs(base - warped) < 1e-12
 
     def test_label_flip_complements(self):
@@ -113,8 +123,8 @@ class TestAuroc:
             labels = rng.integers(0, 2, size=n)
             if labels.min() == labels.max():
                 continue
-            a = auroc(list(zip(probs, labels)))
-            b = auroc(list(zip(probs, 1 - labels)))
+            a = auroc(probs, labels)
+            b = auroc(probs, 1 - labels)
             assert abs(a + b - 1.0) < 1e-12
 
 
@@ -122,10 +132,14 @@ class TestReport:
     def test_fields_consistent(self):
         rng = np.random.default_rng(5)
         scores = [(float(rng.uniform()), int(rng.integers(0, 2))) for _ in range(30)]
-        r = report(scores)
+        r = report(*zip(*scores))
         assert r.tp + r.fp + r.tn + r.fn == r.n == 30
         assert 0.0 <= r.accuracy <= 1.0
 
     def test_auroc_absent_on_single_class(self):
-        r = report([(0.8, 1), (0.6, 1)])
+        r = report([0.8, 0.6], [1, 1])
         assert r.auroc is None
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            report([], [])

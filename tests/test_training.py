@@ -436,10 +436,10 @@ class TestEvaluate:
     def test_evaluate_reports_predict_scores(self, tiny_splits):
         tr, va, te = tiny_splits
         ckpt = train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va).final
-        scores, loss = predict(ckpt, te, batch_size=8)
-        assert [y for _, y in scores] == [c.label for c in te.clips]
-        assert all(0.0 <= p <= 1.0 for p, _ in scores) and np.isfinite(loss)
-        assert report(scores) == evaluate(ckpt, te)
+        probs, labels, loss = predict(ckpt, te, batch_size=8)
+        assert labels.tolist() == [c.label for c in te.clips]
+        assert all(0.0 <= p <= 1.0 for p in probs) and np.isfinite(loss)
+        assert report(probs, labels) == evaluate(ckpt, te)
 
     def test_dataset_of_another_shape_rejected(self, tiny_splits):
         tr, va, _ = tiny_splits
@@ -484,7 +484,8 @@ class TestResidentData:
             save(getattr(r64, name), tmp_path / "b.bin")
             assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert r32.alpha_trajectory_sha256 == r64.alpha_trajectory_sha256
-        assert predict(r32.final, te) == predict(r64.final, widened(te))
+        for got, want in zip(predict(r32.final, te), predict(r64.final, widened(te))):
+            np.testing.assert_array_equal(got, want)
 
     def test_checkpoints_share_read_only_bank_entries(self, tiny_splits, tmp_path):
         tr, va, _ = tiny_splits
@@ -605,8 +606,10 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize("tensors, expected", [
         ({"x" * 70000: np.zeros(1)}, "name_length 70000"),
-        ({"a": np.zeros(1), "s": np.array(["s"])}, "checkpoint tensor 's'")],
-        ids=["name_too_long", "not_numeric"])
+        ({"a": np.zeros(1), "s": np.array(["s"])}, "checkpoint tensor 's'"),
+        ({"a": np.zeros(1), "n": None}, "checkpoint tensor 'n'"),
+        ({"c": np.array([1 + 2j]), "z": np.zeros(1)}, "checkpoint tensor 'c'")],
+        ids=["name_too_long", "not_numeric", "none", "complex"])
     def test_unsavable_tensor_leaves_file_intact(self, tmp_path, tensors, expected):
         p = tmp_path / "ck.bin"
         p.write_bytes(bytes(range(200)) * 5)

@@ -17,7 +17,8 @@ that score are ordered exactly: they are re-scored pair by pair, so
 that identical rows score identically wherever they sit in the pool,
 and ties go to the lower (iteration, sample index). No row is copied
 into a pool array; only the candidates and the selected rows are
-gathered.
+gathered. ``push`` is the one way in: like those queues, the bank keeps
+the array it is handed, read-only; ``restore`` pushes each entry.
 """
 
 from __future__ import annotations
@@ -102,16 +103,14 @@ class GradientBank:
         return len(self.entries) == self.capacity + 1
 
     def push(self, iteration: int, grads: np.ndarray) -> None:
-        """Enqueue a copy of one iteration's per-sample gradients; evict the
-        oldest entry once more than capacity+1 are held.
+        """Enqueue one iteration's per-sample gradients, evicting the oldest
+        entry once more than capacity+1 are held. A float64 array is held
+        without a copy and made read-only: the caller hands it over.
 
         Raises NonFiniteGradientError, and leaves the bank unchanged, when
         any gradient value is NaN or infinite: sampling could not rank it.
         """
-        self._append(iteration, np.array(grads, dtype=np.float64))
-
-    def _append(self, iteration: int, grads: np.ndarray) -> None:
-        """Check one entry as push documents it and enqueue ``grads`` itself."""
+        grads = np.asarray(grads, dtype=np.float64)
         if grads.ndim != 3 or grads.shape[1:] != (self.channels, self.spatial):
             raise DimensionError(
                 f"push: gradients shape {grads.shape} does not match "
@@ -214,12 +213,11 @@ class GradientBank:
         return list(self.entries)
 
     def restore(self, entries: list[tuple[int, np.ndarray]]) -> None:
-        """Replace the queue with ``entries``, each checked as by push but
-        held without a copy: the caller hands over the arrays, made read-only."""
+        """Replace the queue with ``entries``: clear it, then push each one."""
         self.entries.clear()
         self._row_norms.clear()
         for it, g in entries:
-            self._append(it, np.asarray(g, dtype=np.float64))
+            self.push(it, g)
 
 
 def apply_decay(s: SampledGradients, decay: float) -> SampledGradients:

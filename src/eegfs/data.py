@@ -336,6 +336,8 @@ def split(d: Dataset, ratios: tuple[float, float, float], by_group: bool,
         raise ValidationError(f"ratios {ratios} must sum to 1")
     if not all(0.0 <= r <= 1.0 for r in ratios):
         raise ValidationError(f"ratios {ratios} must lie in [0, 1]")
+    if seed < 0:
+        raise ValidationError(f"split seed must be >= 0, got {seed}")
 
     def allot(n: int) -> list[int]:
         exact = [r * n for r in ratios]

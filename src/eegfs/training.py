@@ -396,6 +396,8 @@ def _run_eval(enc: Encoder, sel: Optional[FeatureSelector], ds: Dataset,
               batch_size: int) -> tuple[np.ndarray, np.ndarray, float]:
     if not ds.clips:
         raise ValidationError("evaluation dataset must be non-empty")
+    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise ValidationError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     batches = []
     loss_sum = 0.0
     for start in range(0, len(ds.clips), batch_size):
@@ -433,7 +435,7 @@ def _train_step(config: TrainConfig, enc: Encoder, sel: Optional[FeatureSelector
         raise DivergenceError(iteration, loss_val)
     ad.backward(loss, tape)
     if sel is not None:
-        try:
+        try:  # the bank takes over the captured gradient, which nothing else reads
             sel.bank.push(iteration, h_l.grad)
         except NonFiniteGradientError as e:
             raise DivergenceError(iteration, e.sq_norm,
@@ -450,27 +452,29 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
     checkpoint, and the per-epoch metrics log.
 
     With ``resume``, continues from the checkpoint's epoch to
-    ``config.epochs``; the checkpoint's configuration must match (the
-    epoch budget may differ). The combined log of the interrupted and
-    resumed runs is identical to an uninterrupted run's.
+    ``config.epochs`` with the model, bank and Adam moments built from
+    the checkpoint; its configuration must match (the epoch budget may
+    differ). The combined log of the interrupted and resumed runs, and
+    the final checkpoint, are identical to an uninterrupted run's. A
+    checkpoint does not store the best validation accuracy, so after a
+    resume ``best``, ``best_epoch`` and ``alpha_trajectory_sha256`` cover
+    only the resumed epochs.
     """
     check_train_inputs(config, ds_train, ds_val)
-    enc = Encoder(config.encoder, seed=config.seed)
-    sel = _make_selector(config) if config.fs_enabled else None
-    moments = AdamMoments.zeros_like(enc.params)
-    start_epoch = 0
-    iteration = 0
-
-    if resume is not None:
-        saved = resume.config()
-        if replace(saved, epochs=0) != replace(config, epochs=0):
+    if resume is None:
+        enc = Encoder(config.encoder, seed=config.seed)
+        sel = _make_selector(config) if config.fs_enabled else None
+        moments = AdamMoments.zeros_like(enc.params)
+        start_epoch = iteration = 0
+    else:
+        if replace(resume.config(), epochs=0) != replace(config, epochs=0):
             raise ValidationError(
                 "resume checkpoint configuration does not match the active one")
         _, enc, sel = restore_model(resume)
-        for name, p in enc.params.items():
-            moments.m[name] = resume.tensor_like(f"adam/m/{name}", p.shape)
-            moments.v[name] = resume.tensor_like(f"adam/v/{name}", p.shape)
-        moments.t = resume.counter("adam/t")
+        moments = AdamMoments(
+            m={n: resume.tensor_like(f"adam/m/{n}", p.shape) for n, p in enc.params.items()},
+            v={n: resume.tensor_like(f"adam/v/{n}", p.shape) for n, p in enc.params.items()},
+            t=resume.counter("adam/t"))
         start_epoch = resume.epoch
         iteration = resume.counter("state/iteration")
         if start_epoch >= config.epochs:

@@ -439,12 +439,12 @@ class TestProductionShape:
             with pytest.raises(ValueError, match="read-only"):
                 g[0, 0, 0] = 1.0
 
-    def test_caller_changes_after_push_do_not_reach_the_bank(self):
+    def test_push_holds_the_handed_array_read_only(self):
         bank, following, _ = _production_bank(1)
-        kept = following.copy()
         bank.push(14, following)
-        following[:] = 0.0
         assert [it for it, _ in bank.entries] == list(range(6, 15))
-        np.testing.assert_array_equal(bank.entries[-1][1], kept)
+        assert bank.entries[-1][1] is following
+        with pytest.raises(ValueError, match="read-only"):
+            following[0, 0, 0] = 0.0
         after = bank.sample_top_k()
         _check_against_oracle(bank, after)

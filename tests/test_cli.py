@@ -485,8 +485,18 @@ def _grid_empty(tmp_path, data, ckpt):
     return _ablate_argv(tmp_path, data, ";")
 
 
-# rejected while the settings are read, before --out is created
+def _negative_split_seed(tmp_path, data, ckpt):
+    return _train_argv(tmp_path, data, "--set", "split_seed=-1")
+
+
+def _ablate_negative_split_seed(tmp_path, data, ckpt):
+    return _ablate_argv(tmp_path, data, "m=0") + ["--set", "split_seed=-1"]
+
+
+# rejected while the settings are read or the corpus is split, before --out is created
 _BAD_SETTINGS = [
+    (_negative_split_seed, "split seed must be >= 0"),
+    (_ablate_negative_split_seed, "split seed must be >= 0"),
     (_bool_not_parsed, "expected a boolean"),
     (_block_missing_field, "needs out:kernel:stride:pool"),
     (_config_line_without_equals, "expected key=value"),

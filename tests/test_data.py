@@ -206,6 +206,11 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split(d, (0.5, 0.2, 0.2), by_group=True, seed=0)
 
+    def test_negative_seed_rejected(self):
+        d = generate(_small_spec())
+        with pytest.raises(ValidationError, match="split seed"):
+            split(d, (0.5, 0.25, 0.25), by_group=True, seed=-1)
+
     @pytest.mark.parametrize("ratios", [(float("nan"), 0.5, 0.5), (0.6, 0.4, float("nan"))])
     def test_non_finite_ratios_rejected(self, ratios):
         d = generate(_small_spec())

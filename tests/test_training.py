@@ -458,6 +458,12 @@ class TestEvaluate:
             with pytest.raises(ValidationError, match="non-empty"):
                 fn(one_epoch, empty)
 
+    @pytest.mark.parametrize("fn", [predict, evaluate])
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5])
+    def test_bad_batch_size_rejected(self, one_epoch, tiny_splits, fn, batch_size):
+        with pytest.raises(ValidationError, match="batch_size must be an integer >= 1"):
+            fn(one_epoch, tiny_splits[2], batch_size=batch_size)
+
     def test_single_class_dataset_handled(self, tiny_splits):
         tr, va, te = tiny_splits
         result = train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va)
@@ -666,6 +672,21 @@ class TestCheckpointIO:
         names = sorted(n for n in ckpt.tensors if n.startswith("bank/") and n.endswith("/grads"))
         assert len(names) == len(sel.bank.entries) == 3
         assert all(g is ckpt.tensors[n] for (_, g), n in zip(sel.bank.entries, names))
+
+    def test_restore_model_banks_every_entry_through_push(self, one_epoch, monkeypatch):
+        pushed = []
+        real_push = GradientBank.push
+
+        def push(bank, iteration, grads):
+            pushed.append(iteration)
+            real_push(bank, iteration, grads)
+
+        monkeypatch.setattr(GradientBank, "push", push)
+        _, _, sel = restore_model(one_epoch)
+        stored = [one_epoch.counter(n) for n in sorted(one_epoch.tensors)
+                  if n.startswith("bank/") and n.endswith("/iter")]
+        assert len(stored) == 3
+        assert pushed == stored == [it for it, _ in sel.bank.entries]
 
     def test_nan_bank_iteration_rejected(self, one_epoch):
         with pytest.raises(ValidationError, match="bank/0001/iter"):

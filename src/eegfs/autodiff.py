@@ -33,12 +33,15 @@ phase of the gradient once.
 
 The tape holds only the leaves with ``requires_grad`` and the captured
 nodes. Any other tensor lives on only in what its consumers' rules keep:
-``conv1d`` its im2col matrix, train-mode ``batchnorm`` x_hat, inv_std and
-gamma, ``relu`` the 1-byte mask, ``mul``/``div`` the operands a live side
-reads, ``matmul`` both operands, and the pooling, reshape, reduction and
-add/sub rules only shapes and arg-max indices. ``backward`` frees each
-interior gradient once its producer's rule has consumed it. Rules never
-modify what they keep, so repeated sweeps over one tape are reproducible.
+``conv1d`` its input array and kernel, train-mode ``batchnorm`` x_hat,
+inv_std and gamma, ``relu`` the 1-byte mask, ``mul``/``div`` the operands
+a live side reads, ``matmul`` both operands, and the pooling, reshape,
+reduction and add/sub rules only shapes and arg-max indices. The arrays
+``conv1d``, ``matmul`` and ``mul``/``div`` keep are their inputs' own, read
+at backward time, so an op's input must not be modified in place before
+the sweep. ``backward`` frees each interior gradient once its producer's
+rule has consumed it. Rules never modify what they keep, so repeated
+sweeps over one tape are reproducible.
 
 A tensor refers to the tape that registered it weakly, so a tape is freed
 as soon as its owner drops it, without waiting for the cyclic collector.
@@ -62,6 +65,13 @@ class TapeUsageError(RuntimeError):
 
 class ValidationError(ValueError):
     """Invalid argument value (labels, modes, hyperparameters)."""
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is an integer
+    (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 _ACTIVE_TAPE: Optional["Tape"] = None
@@ -455,6 +465,12 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     for the kernel and ``w2.T @ g2`` for the columns, which are scatter-added
     back one offset at a time as contiguous row slabs; the column side is
     skipped when the input is not live.
+
+    Taped, the rule keeps the input array rather than ``cols``, which is
+    freed when forward returns, and rebuilds ``cols`` from it for the
+    kernel gradient (Chen et al. 2016 trade this recompute for memory).
+    The input array must therefore not be modified in place before
+    backward, as for ``matmul``.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -470,25 +486,28 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise DimensionError(f"conv1d: kernel {k} larger than padded input {t_pad}")
     t_out = (t_pad - k) // stride + 1
     span = stride * (t_out - 1) + 1  # input positions one kernel offset reads
+    xd = x.data
 
-    # Channel-major im2col: cols[ci, kk, b, t] = xp[b, ci, t*stride + kk], so
-    # rows follow w's (Cin, k) layout and each offset is one strided copy.
-    xt = x.data.transpose(1, 0, 2)  # (Cin, B, T) view
-    if padding:
-        xp = np.zeros((c_in, batch, t_pad))
-        xp[:, :, padding:padding + t_len] = xt
-        xt = xp
-    cols = np.empty((c_in, k, batch, t_out))
-    for kk in range(k):
-        cols[:, kk] = xt[:, :, kk:kk + span:stride]
-    cols = cols.reshape(c_in * k, batch * t_out)
+    def lower() -> np.ndarray:
+        # Channel-major im2col: cols[ci, kk, b, t] = xp[b, ci, t*stride + kk], so
+        # rows follow w's (Cin, k) layout and each offset is one strided copy.
+        xt = xd.transpose(1, 0, 2)  # (Cin, B, T) view
+        if padding:
+            xp = np.zeros((c_in, batch, t_pad))
+            xp[:, :, padding:padding + t_len] = xt
+            xt = xp
+        cols = np.empty((c_in, k, batch, t_out))
+        for kk in range(k):
+            cols[:, kk] = xt[:, :, kk:kk + span:stride]
+        return cols.reshape(c_in * k, batch * t_out)
+
     w2 = w.data.reshape(c_out, c_in * k)
-    out = Tensor((w2 @ cols).reshape(c_out, batch, t_out).transpose(1, 0, 2))
+    out = Tensor((w2 @ lower()).reshape(c_out, batch, t_out).transpose(1, 0, 2))
     need_x = _needs_grad(x)
 
     def rule(g):
         g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, batch * t_out)
-        gw = (g2 @ cols.T).reshape(c_out, c_in, k)
+        gw = (g2 @ lower().T).reshape(c_out, c_in, k)
         if not need_x:  # e.g. the raw clip batch
             return (None, gw)
         gcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)

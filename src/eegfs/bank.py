@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import DimensionError, ValidationError
+from .autodiff import DimensionError, ValidationError, check_integer
 
 
 class BankUsageError(RuntimeError):
@@ -83,6 +83,8 @@ class GradientBank:
 
     def __init__(self, capacity: int, top_k: int, decay: float,
                  channels: int, spatial: int):
+        check_integer("bank capacity", capacity)
+        check_integer("top_k", top_k)
         if capacity < 1:
             raise ValidationError(f"bank capacity must be >= 1, got {capacity}")
         if top_k < 1:

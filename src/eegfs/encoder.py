@@ -9,16 +9,24 @@ final linear head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Tensor, ValidationError
+from .autodiff import BatchNormState, Tensor, ValidationError, check_integer
 
 
 ACTIVATIONS = ("softmax", "sigmoid")  # checkpoint code = index
+
+
+def check_integer_fields(config) -> None:
+    """Raise ValidationError naming the first field of a config dataclass
+    whose default is an int and whose value is not an integer."""
+    for f in fields(config):
+        if type(f.default) is int:
+            check_integer(f.name, getattr(config, f.name))
 
 
 @dataclass(frozen=True)
@@ -34,6 +42,7 @@ class EncoderConfig:
     bn_momentum: float = 0.1
 
     def validate(self) -> None:
+        check_integer_fields(self)
         if not self.blocks:
             raise ValidationError("at least one block is required")
         if not 0 <= self.insertion_layer < len(self.blocks):

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, ValidationError
 from .bank import BankUsageError, GradientBank, NonFiniteGradientError
 from .data import BinaryReader, Dataset, ParseError, pack
-from .encoder import ACTIVATIONS, Encoder, EncoderConfig
+from .encoder import ACTIVATIONS, Encoder, EncoderConfig, check_integer_fields
 from .metrics import MetricsReport, report
 from .selection import FeatureSelector
 
@@ -58,6 +58,7 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def validate(self) -> None:
+        check_integer_fields(self)
         if self.epochs < 1 or self.batch_size < 1 or self.seed < 0:
             raise ValidationError("epochs and batch_size must be positive, seed >= 0")
         if self.bank_size < 1 or self.top_k < 1:

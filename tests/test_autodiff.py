@@ -395,16 +395,21 @@ class TestBackward:
         rng = np.random.default_rng(16)
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        c = Tensor(rng.standard_normal((4, 2, 9)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 2, 3)), requires_grad=True)
         tape = Tape()
         with tape:
-            loss = cross_entropy_logits(matmul(x, w), [0, 1, 0, 1])
+            h = conv1d(c, k, stride=2, padding=1)  # rebuilds its columns on each sweep
+            loss = add(cross_entropy_logits(matmul(x, w), [0, 1, 0, 1]),
+                       mean_over_axes(mul(h, h), (0, 1, 2)))
+        leaves = (x, w, c, k)
         backward(loss, tape)
-        gx, gw = x.grad.copy(), w.grad.copy()
-        x.grad = None
-        w.grad = None
+        first = [t.grad.copy() for t in leaves]
+        for t in leaves:
+            t.grad = None
         backward(loss, tape)
-        np.testing.assert_array_equal(x.grad, gx)
-        np.testing.assert_array_equal(w.grad, gw)
+        for t, g in zip(leaves, first):
+            np.testing.assert_array_equal(t.grad, g)
 
     def test_capture_set_retains_intermediate(self):
         rng = np.random.default_rng(17)
@@ -603,3 +608,23 @@ def test_forward_allocates_only_its_output(name, op):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * out.data.nbytes
+
+
+@pytest.mark.parametrize("live", [True, False], ids=["live_input", "constant_input"])
+@pytest.mark.parametrize("x_shape,w_shape", [((64, 16, 250), (32, 16, 7)),
+                                             ((64, 32, 122), (64, 32, 5))],
+                         ids=["block0", "block1"])
+def test_conv1d_tape_holds_only_its_output(x_shape, w_shape, live):
+    """The taped rule keeps the input, not the (Cin*k, B*T_out) column matrix."""
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=live)
+    w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        with tape:
+            out = conv1d(x, w)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.05 * out.data.nbytes

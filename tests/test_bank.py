@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from eegfs.autodiff import DimensionError
+from eegfs.autodiff import DimensionError, ValidationError
 from eegfs.bank import (
     BankUsageError,
     GradientBank,
@@ -23,6 +23,13 @@ def _bank(q=2, k=1, decay=0.5, channels=2, spatial=3):
 
 def _rand_entry(rng, b=2, c=2, s=3):
     return rng.standard_normal((b, c, s))
+
+
+@pytest.mark.parametrize("arg", ["capacity", "top_k"])
+def test_non_integer_size_rejected(arg):
+    sizes = {"q": 2, "k": 1, ("q" if arg == "capacity" else "k"): 1.5}
+    with pytest.raises(ValidationError, match=arg):
+        _bank(**sizes)
 
 
 class TestPush:

@@ -53,6 +53,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match=field):
             EncoderConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field", ["in_channels", "clip_len", "insertion_layer",
+                                       "num_classes"])
+    def test_non_integer_value_rejected(self, field):
+        value = getattr(EncoderConfig(), field) + 0.5
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
+            EncoderConfig(**{field: value}).validate()
+
     def test_stride_product(self):
         cfg = EncoderConfig(blocks=((4, 3, 2, 2), (6, 3, 1, 3)), clip_len=64)
         assert cfg.stride_product(0) == 4

@@ -116,6 +116,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=field):
             _tiny_config(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed", "bank_size", "top_k"])
+    def test_non_integer_value_rejected(self, field):
+        value = getattr(_tiny_config(), field) + 0.5
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
+            _tiny_config(**{field: value}).validate()
+
     @pytest.mark.parametrize("field", ["bank_size", "top_k"])
     def test_bank_setting_rejected_with_selection_off(self, field):
         with pytest.raises(ValidationError, match=f"{field} 0"):
@@ -315,14 +321,14 @@ class TestTapeResiduals:
 
     @staticmethod
     def _named_residual_bytes(cfg, batch):
-        """Bytes of each block's im2col matrix, x_hat and ReLU mask, the
-        captured map, the head input and the batch itself."""
+        """Bytes of each block's x_hat and ReLU mask, the captured map, the
+        head input and the batch itself; no conv1d column matrix."""
         total = batch * cfg.in_channels * cfg.clip_len * 8
-        c_in, t = cfg.in_channels, cfg.clip_len
+        t = cfg.clip_len
         for i, (c_out, k, stride, pool) in enumerate(cfg.blocks):
             t_conv = (t - k) // stride + 1
-            total += batch * t_conv * (c_in * k * 8 + c_out * 8 + c_out)
-            c_in, t = c_out, t_conv // pool
+            total += batch * t_conv * (c_out * 8 + c_out)
+            t = t_conv // pool
             if i == cfg.insertion_layer:
                 total += batch * c_out * t * 8
         return total + batch * cfg.flat_features() * 8

@@ -22,7 +22,6 @@ from .encoder import Encoder, EncoderConfig
 from .metrics import MetricsReport, UndefinedMetricError, auroc, confusion, rates, report
 from .selection import (
     FeatureSelector,
-    batch_pool,
     export_attribution,
     fs_forward,
     heat_map,

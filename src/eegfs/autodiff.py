@@ -50,6 +50,7 @@ as soon as its owner drops it, without waiting for the cyclic collector.
 from __future__ import annotations
 
 import weakref
+from dataclasses import fields
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -72,6 +73,14 @@ def check_integer(name: str, value) -> None:
     (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_integer_fields(config) -> None:
+    """Raise ValidationError naming the first field of a config dataclass
+    whose default is an int and whose value is not an integer."""
+    for f in fields(config):
+        if type(f.default) is int:
+            check_integer(f.name, getattr(config, f.name))
 
 
 _ACTIVE_TAPE: Optional["Tape"] = None

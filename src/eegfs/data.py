@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import ValidationError
+from .autodiff import ValidationError, check_integer_fields
 
 MAGIC = b"EEGS"
 FORMAT_VERSION = 1
@@ -154,6 +154,7 @@ class CorpusSpec:
     seed: int = 42
 
     def validate(self) -> None:
+        check_integer_fields(self)
         if self.n_clips < 1:
             raise ValidationError("n_clips must be >= 1")
         if self.channels < 1 or self.timestamps < 2:

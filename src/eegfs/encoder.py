@@ -9,31 +9,24 @@ final linear head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Tensor, ValidationError, check_integer
+from .autodiff import BatchNormState, Tensor, ValidationError, check_integer, check_integer_fields
 
 
 ACTIVATIONS = ("softmax", "sigmoid")  # checkpoint code = index
-
-
-def check_integer_fields(config) -> None:
-    """Raise ValidationError naming the first field of a config dataclass
-    whose default is an int and whose value is not an integer."""
-    for f in fields(config):
-        if type(f.default) is int:
-            check_integer(f.name, getattr(config, f.name))
+BLOCK_FIELDS = ("out_channels", "kernel_len", "stride", "pool_len")
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
     in_channels: int = 16
     clip_len: int = 250
-    # (out_channels, kernel_len, stride, pool_len) per block
+    # one BLOCK_FIELDS tuple per block
     blocks: tuple[tuple[int, int, int, int], ...] = ((32, 7, 1, 2), (64, 5, 1, 2))
     insertion_layer: int = 0
     num_classes: int = 2
@@ -45,6 +38,11 @@ class EncoderConfig:
         check_integer_fields(self)
         if not self.blocks:
             raise ValidationError("at least one block is required")
+        for i, block in enumerate(self.blocks):
+            if len(block) != len(BLOCK_FIELDS):
+                raise ValidationError(f"block {i}: need {BLOCK_FIELDS}, got {block!r}")
+            for name, value in zip(BLOCK_FIELDS, block):
+                check_integer(f"block {i}: {name}", value)
         if not 0 <= self.insertion_layer < len(self.blocks):
             raise ValidationError(
                 f"insertion_layer {self.insertion_layer} outside [0, {len(self.blocks)})")

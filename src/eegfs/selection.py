@@ -30,37 +30,22 @@ from .encoder import ACTIVATIONS
 _EPS_H = 1e-12  # below this largest entropy every location keeps full weight
 
 
-def batch_pool(h: Tensor) -> Tensor:
-    """Mean over the batch axis of (B, C, S) -> (C, S)."""
-    if h.data.ndim != 3:
-        raise DimensionError(f"batch_pool: need (B,C,S), got {h.shape}")
-    return ad.mean_over_axes(h, (0,))
-
-
-def heat_map(h: Tensor, alpha: np.ndarray, sel: "FeatureSelector", mode: str) -> Tensor:
+def heat_map(h: Tensor, sel: "FeatureSelector", mode: str) -> Tensor:
     """Channel-weighted feature map, batch-normalized per channel.
 
-    ``alpha`` multiplies each channel of ``h``; the product is normalized
-    with ``sel.bn``, the selector's own running statistics, using its
-    ``bn_eps`` and ``bn_momentum`` (affine fixed at identity).
+    ``sel.alpha`` multiplies each channel of ``h``; the product is
+    normalized with ``sel.bn``, the selector's own running statistics,
+    using its ``bn_eps`` and ``bn_momentum`` (affine fixed at identity).
     """
     if h.data.ndim != 3:
         raise DimensionError(f"heat_map: need (B,C,S), got {h.shape}")
     chans = h.shape[1]
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = np.asarray(sel.alpha, dtype=np.float64)
     if alpha.shape != (chans,):
         raise DimensionError(f"heat_map: alpha shape {alpha.shape} != ({chans},)")
     weighted = ad.mul(h, Tensor(alpha.reshape(chans, 1)))
     return ad.batchnorm(weighted, Tensor(np.ones(chans)), Tensor(np.zeros(chans)),
                         sel.bn, mode, eps=sel.bn_eps, momentum_bn=sel.bn_momentum)
-
-
-def _entropy_op(p: Tensor, kind: str) -> Tensor:
-    """Taped per-location entropy of channel probabilities (C, S) -> (S,)."""
-    if kind == "softmax":
-        return ad.mul(ad.sum_over_axes(ad.xlogx(p), (0,)), -1.0)
-    inner = ad.add(ad.xlogx(p), ad.xlogx(ad.sub(1.0, p)))
-    return ad.mul(ad.sum_over_axes(inner, (0,)), -1.0)
 
 
 class FeatureSelector:
@@ -115,13 +100,15 @@ def fs_forward(h: Tensor, bank: GradientBank, sel: FeatureSelector, mode: str) -
     elif sel.alpha is None:
         return h
 
-    v = heat_map(h, sel.alpha, sel, mode)
-    pooled = batch_pool(v)
+    v = heat_map(h, sel, mode)
+    pooled = ad.mean_over_axes(v, (0,))  # (C, S)
     if sel.activation_kind == "softmax":
         p = ad.softmax(pooled, axis=0)
+        plogp = ad.xlogx(p)
     else:
         p = ad.sigmoid(pooled)
-    entropies = _entropy_op(p, sel.activation_kind)
+        plogp = ad.add(ad.xlogx(p), ad.xlogx(ad.sub(1.0, p)))
+    entropies = ad.mul(ad.sum_over_axes(plogp, (0,)), -1.0)  # (S,)
 
     hmax = ad.max_over_axis(entropies, 0)
     if float(hmax.data) < _EPS_H:

@@ -19,10 +19,10 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, ValidationError
+from .autodiff import Tensor, ValidationError, check_integer_fields
 from .bank import BankUsageError, GradientBank, NonFiniteGradientError
 from .data import BinaryReader, Dataset, ParseError, pack
-from .encoder import ACTIVATIONS, Encoder, EncoderConfig, check_integer_fields
+from .encoder import ACTIVATIONS, Encoder, EncoderConfig
 from .metrics import MetricsReport, report
 from .selection import FeatureSelector
 
@@ -311,8 +311,7 @@ def _build_checkpoint(config: TrainConfig, enc: Encoder,
         for idx, (it, grads) in enumerate(sel.bank.snapshot()):
             tensors[f"bank/{idx:04d}/iter"] = np.asarray(float(it))
             tensors[f"bank/{idx:04d}/grads"] = grads
-        if sel.alpha is not None:  # both names kept for the file format
-            tensors["alpha/current"] = sel.alpha.copy()
+        if sel.alpha is not None:
             tensors["alpha/frozen"] = sel.alpha.copy()
     return Checkpoint(tensors=tensors)
 

@@ -82,6 +82,14 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             generate(_small_spec(**{field: value}))
 
+    @pytest.mark.parametrize("offset", [0.5, 0.0])
+    @pytest.mark.parametrize("field", ["n_clips", "channels", "timestamps", "sample_rate",
+                                       "spike_channel_span", "n_groups", "seed"])
+    def test_non_integer_value_rejected(self, field, offset):
+        value = getattr(CorpusSpec(), field) + offset
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
+            generate(CorpusSpec(**{field: value}))
+
     @pytest.mark.parametrize("spec", [
         CorpusSpec(n_clips=300),
         CorpusSpec(n_clips=30, channels=1, spike_channel_span=1, n_groups=5),

@@ -60,6 +60,15 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
             EncoderConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("blocks, match", [
+        (((32, 7.5, 1, 2), (64, 5, 1, 2)), "block 0: kernel_len must be an integer, got 7.5"),
+        (((32, 7, 1), (64, 5, 1, 2)), r"block 0: need .*, got \(32, 7, 1\)"),
+        (((32, 7, 1, 2), (64, 5, True, 2)), "block 1: stride must be an integer, got True"),
+    ], ids=["float_kernel", "three_entries", "bool_stride"])
+    def test_malformed_block_rejected(self, blocks, match):
+        with pytest.raises(ValidationError, match=match):
+            Encoder(EncoderConfig(blocks=blocks), seed=0)
+
     def test_stride_product(self):
         cfg = EncoderConfig(blocks=((4, 3, 2, 2), (6, 3, 1, 3)), clip_len=64)
         assert cfg.stride_product(0) == 4

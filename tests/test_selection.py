@@ -4,11 +4,12 @@ through the selection path, attribution export."""
 import numpy as np
 import pytest
 
-from eegfs.autodiff import Tape, Tensor, ValidationError, backward, sum_over_axes, mul
+from eegfs.autodiff import (
+    Tape, Tensor, ValidationError, backward, mean_over_axes, mul, sum_over_axes,
+)
 from eegfs.bank import GradientBank
 from eegfs.selection import (
     FeatureSelector,
-    batch_pool,
     export_attribution,
     fs_forward,
     heat_map,
@@ -43,18 +44,18 @@ class TestBatchPool:
     def test_single_sample_is_identity(self):
         rng = np.random.default_rng(0)
         h = rng.standard_normal((1, 3, 5))
-        np.testing.assert_array_equal(batch_pool(Tensor(h)).data, h[0])
+        np.testing.assert_array_equal(mean_over_axes(Tensor(h), (0,)).data, h[0])
 
     def test_symmetric_batch_cancels(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 4))
         h = np.stack([x, -x])
-        np.testing.assert_allclose(batch_pool(Tensor(h)).data, 0.0, atol=1e-16)
+        np.testing.assert_allclose(mean_over_axes(Tensor(h), (0,)).data, 0.0, atol=1e-16)
 
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((4, 3, 5))
-        got = batch_pool(Tensor(h)).data
+        got = mean_over_axes(Tensor(h), (0,)).data
         assert np.abs(got - mean_loops(h, (0,))).max() < 1e-12
 
 
@@ -63,7 +64,8 @@ class TestHeatMap:
         rng = np.random.default_rng(3)
         h = rng.standard_normal((3, 4, 5))
         fs = _selector(channels=4)
-        v = heat_map(Tensor(h), np.zeros(4), fs, "train")
+        fs.alpha = np.zeros(4)
+        v = heat_map(Tensor(h), fs, "train")
         np.testing.assert_array_equal(v.data, np.zeros_like(h))
 
     def test_unit_alpha_on_prenormalized_input(self):
@@ -72,7 +74,8 @@ class TestHeatMap:
         h -= h.mean(axis=(0, 2), keepdims=True)
         h /= h.std(axis=(0, 2), keepdims=True)
         fs = _selector(channels=3)
-        v = heat_map(Tensor(h), np.ones(3), fs, "train")
+        fs.alpha = np.ones(3)
+        v = heat_map(Tensor(h), fs, "train")
         np.testing.assert_allclose(v.data, h / np.sqrt(1 + 1e-5), atol=1e-12)
 
     def test_against_scalar_reference(self):
@@ -80,7 +83,8 @@ class TestHeatMap:
         h = rng.standard_normal((2, 4, 6))
         alpha = rng.standard_normal(4)
         fs = _selector(channels=4)
-        got = heat_map(Tensor(h), alpha, fs, "train").data
+        fs.alpha = alpha
+        got = heat_map(Tensor(h), fs, "train").data
         pre = np.zeros_like(h)
         for i in range(2):
             for c in range(4):

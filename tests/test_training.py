@@ -135,7 +135,7 @@ class TestTrainLoop:
         result = train(cfg, tr, va)
         bank_iters = [n for n in result.final.tensors if n.endswith("/iter")]
         assert len(bank_iters) == 1            # one batch pushed
-        assert "alpha/current" not in result.final.tensors
+        assert "alpha/frozen" not in result.final.tensors
         assert result.alpha_trajectory_sha256 is not None
 
     def test_bank_holds_most_recent_iterations(self, tiny_splits):
@@ -192,7 +192,7 @@ class TestTrainLoop:
                   for n in result.final.tensors
                   if n.startswith("bank/") and n.endswith("grads")}
         assert 8 in shapes  # the trailing partial batch was banked as-is
-        assert "alpha/current" in result.final.tensors
+        assert "alpha/frozen" in result.final.tensors
 
     def test_frozen_alpha_set_once_at_end(self, tiny_splits):
         tr, va, _ = tiny_splits
@@ -200,9 +200,7 @@ class TestTrainLoop:
         result = train(cfg, tr, va)
         resumed = train(cfg, tr, va, resume=train(replace(cfg, epochs=1), tr, va).final)
         for ckpt in (result.final, result.best, resumed.final):
-            assert "alpha/frozen" in ckpt.tensors
-            np.testing.assert_array_equal(ckpt.tensors["alpha/frozen"],
-                                          ckpt.tensors["alpha/current"])
+            assert [n for n in ckpt.tensors if n.startswith("alpha")] == ["alpha/frozen"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_loss_reports_iteration(self, tiny_splits):
@@ -670,6 +668,18 @@ class TestCheckpointIO:
         p = tmp_path / "ck.bin"
         save(result.final, p)
         assert evaluate(load(p), te) == evaluate(result.final, te)
+
+    def test_file_with_duplicate_alpha_still_restores(self, one_epoch, tiny_splits, tmp_path):
+        # older files also stored alpha as "alpha/current", a copy of "alpha/frozen"
+        te = tiny_splits[2]
+        alpha = one_epoch.tensors["alpha/frozen"]
+        p = tmp_path / "old.bin"
+        save(Checkpoint({**one_epoch.tensors, "alpha/current": alpha.copy()}), p)
+        old = load(p)
+        assert "alpha/current" in old.tensors
+        np.testing.assert_array_equal(restore_model(old)[2].alpha,
+                                      restore_model(one_epoch)[2].alpha)
+        assert evaluate(old, te) == evaluate(one_epoch, te)
 
     def test_restore_model_banks_the_loaded_arrays_without_a_copy(self, tiny_splits):
         tr, va, _ = tiny_splits

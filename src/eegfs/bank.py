@@ -8,17 +8,18 @@ everything down to one channel-weight vector, blended between the
 sampled history and the newest batch by a momentum coefficient.
 
 Sampling follows the memory-queue scoring of MoCo (He et al. 2020) and
-cross-batch memory (Wang et al. 2020). Each entry's flattened row norms
-are computed once, the first time a sample needs them, and kept beside
-the queue until the entry is evicted. All anchors are scored against
+cross-batch memory (Wang et al. 2020). Like those queues, the bank
+measures an entry once, when ``push`` enqueues it: its flattened row
+norms sit in a second queue beside the entries and leave with them on
+eviction, and sampling only reads them. All anchors are scored against
 the pool with one matrix product per older entry, and a partial sort
 finds each anchor's k-th best score. Only the columns within 1e-9 of
 that score are ordered exactly: they are re-scored pair by pair, so
 that identical rows score identically wherever they sit in the pool,
 and ties go to the lower (iteration, sample index). No row is copied
 into a pool array; only the candidates and the selected rows are
-gathered. ``push`` is the one way in: like those queues, the bank keeps
-the array it is handed, read-only; ``restore`` pushes each entry.
+gathered. ``push`` is the one way in: the bank keeps the array it is
+handed, read-only; ``restore`` pushes each entry.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class GradientBank:
         self.channels = channels
         self.spatial = spatial
         self.entries: deque[tuple[int, np.ndarray]] = deque()
-        # flattened row norms of held entries, by iteration, filled by sampling
-        self._row_norms: dict[int, np.ndarray] = {}
+        # flattened row norms of each held entry, in step with entries
+        self._row_norms: deque[np.ndarray] = deque()
 
     @property
     def is_full(self) -> bool:
@@ -107,10 +108,12 @@ class GradientBank:
     def push(self, iteration: int, grads: np.ndarray) -> None:
         """Enqueue one iteration's per-sample gradients, evicting the oldest
         entry once more than capacity+1 are held. A float64 array is held
-        without a copy and made read-only: the caller hands it over.
+        without a copy and made read-only: the caller hands it over. Its
+        flattened row norms are measured here, once, for sampling to read.
 
         Raises NonFiniteGradientError, and leaves the bank unchanged, when
-        any gradient value is NaN or infinite: sampling could not rank it.
+        any gradient value is NaN or infinite, or so large that the squared
+        norm overflows: sampling could not rank it.
         """
         grads = np.asarray(grads, dtype=np.float64)
         if grads.ndim != 3 or grads.shape[1:] != (self.channels, self.spatial):
@@ -120,22 +123,18 @@ class GradientBank:
         if self.entries and iteration <= self.entries[-1][0]:
             raise BankUsageError(
                 f"push: iteration {iteration} not after {self.entries[-1][0]}")
-        flat = grads.reshape(-1)
-        sq_norm = float(flat @ flat)  # NaN or inf anywhere makes this non-finite
+        rows = grads.reshape(grads.shape[0], self.channels * self.spatial)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            sq_norms = np.einsum("ij,ij->i", rows, rows)
+            sq_norm = float(sq_norms.sum())  # NaN or inf anywhere makes this non-finite
         if not np.isfinite(sq_norm):
             raise NonFiniteGradientError(iteration, sq_norm)
         grads.flags.writeable = False  # held entries are shared, never written
         self.entries.append((iteration, grads))
+        self._row_norms.append(np.sqrt(sq_norms))
         if len(self.entries) > self.capacity + 1:
-            evicted, _ = self.entries.popleft()
-            self._row_norms.pop(evicted, None)
-
-    def _norms(self, iteration: int, grads: np.ndarray) -> np.ndarray:
-        norms = self._row_norms.get(iteration)
-        if norms is None:
-            norms = np.linalg.norm(grads.reshape(grads.shape[0], -1), axis=1)
-            self._row_norms[iteration] = norms
-        return norms
+            self.entries.popleft()
+            self._row_norms.popleft()
 
     def sample_top_k(self) -> SampledGradients:
         """Select, per anchor row of the newest entry, the top-k most
@@ -143,7 +142,7 @@ class GradientBank:
 
         Rows or anchors with a norm below 1e-12 score 0. Every anchor is
         scored against the whole pool with one GEMM per older entry, using
-        the cached row norms. The columns scoring within 1e-9 of an
+        the row norms from ``push``. The columns scoring within 1e-9 of an
         anchor's k-th best score are then re-scored one pair at a time,
         because GEMM rounding can differ between copies of one row held in
         different entries, and sorted by (-score, iteration, sample index).
@@ -153,6 +152,7 @@ class GradientBank:
         if len(self.entries) < 2:
             raise WarmupError("sampling needs the newest entry plus at least one older one")
         *older, (newest_iter, anchors) = self.entries
+        *pool_norms, anchor_norms = self._row_norms
         sizes = [g.shape[0] for _, g in older]
         starts = np.cumsum([0] + sizes[:-1])
         pool_size = sum(sizes)
@@ -163,13 +163,11 @@ class GradientBank:
 
         b = anchors.shape[0]
         flat_anchors = anchors.reshape(b, -1)
-        anchor_norms = self._norms(newest_iter, anchors)
+        pool_norms = np.concatenate(pool_norms)
         scores = np.empty((pool_size, b))
-        pool_norms = np.empty(pool_size)
-        for (it, g), start in zip(older, starts):
+        for (_, g), start in zip(older, starts):
             rows = slice(start, start + g.shape[0])
             np.matmul(g.reshape(g.shape[0], -1), flat_anchors.T, out=scores[rows])
-            pool_norms[rows] = self._norms(it, g)
         scores = scores.T
         live = ((anchor_norms >= _NORM_FLOOR)[:, None]
                 & (pool_norms >= _NORM_FLOOR)[None, :])

@@ -36,10 +36,10 @@ class EncoderConfig:
 
     def validate(self) -> None:
         check_integer_fields(self)
-        if not self.blocks:
-            raise ValidationError("at least one block is required")
+        if not isinstance(self.blocks, (tuple, list)) or not self.blocks:
+            raise ValidationError(f"blocks must be a non-empty sequence, got {self.blocks!r}")
         for i, block in enumerate(self.blocks):
-            if len(block) != len(BLOCK_FIELDS):
+            if not isinstance(block, (tuple, list)) or len(block) != len(BLOCK_FIELDS):
                 raise ValidationError(f"block {i}: need {BLOCK_FIELDS}, got {block!r}")
             for name, value in zip(BLOCK_FIELDS, block):
                 check_integer(f"block {i}: {name}", value)

@@ -331,8 +331,9 @@ def restore_model(ckpt: Checkpoint) -> tuple[TrainConfig, Encoder, Optional[Feat
     before the model it describes is allocated; every array that
     ``_model_arrays`` names is then put back with its shape checked. The
     selector's channel weights come from ``alpha/frozen`` and stay unset
-    when it is absent. A checkpoint that does not fit its own config
-    raises ValidationError.
+    when it is absent. Bank entries are read by index, ``bank/0000`` on,
+    so their order does not depend on how the names sort. A checkpoint
+    that does not fit its own config raises ValidationError.
     """
     config = ckpt.config()
     config.validate()
@@ -343,8 +344,9 @@ def restore_model(ckpt: Checkpoint) -> tuple[TrainConfig, Encoder, Optional[Feat
     for name, holder, attr in _model_arrays(enc, sel):
         setattr(holder, attr, ckpt.tensor_like(name, getattr(holder, attr).shape))
     if sel is not None:
-        iters = sorted(n for n in ckpt.tensors if n.startswith("bank/") and n.endswith("/iter"))
-        entries = [(ckpt.counter(n), ckpt.tensor(n[:-len("iter")] + "grads")) for n in iters]
+        count = len({n.split("/")[1] for n in ckpt.tensors if n.startswith("bank/")})
+        entries = [(ckpt.counter(f"bank/{i:04d}/iter"), ckpt.tensor(f"bank/{i:04d}/grads"))
+                   for i in range(count)]
         try:
             sel.bank.restore(entries)
         except (ad.DimensionError, BankUsageError) as e:

@@ -80,6 +80,21 @@ class TestPush:
             for (_, got), (_, want) in zip(bank.entries, held):
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("value", [4.1e153, 1e200])
+    def test_overflowing_squared_norm_rejected(self, value):
+        # at 4.1e153 each row's squared norm (~1.0e308) is finite, their sum is not
+        rng = np.random.default_rng(25)
+        bank = _bank()
+        first = _rand_entry(rng)
+        bank.push(1, first)
+        with pytest.raises(NonFiniteGradientError) as e:
+            bank.push(2, np.full((2, 2, 3), value))
+        assert e.value.iteration == 2
+        assert len(bank.entries) == 1 and bank.entries[0][1] is first
+        # the rejected push measured nothing that sampling would read
+        bank.push(2, first * 2.0)
+        np.testing.assert_array_equal(bank.sample_top_k().sampled, first)
+
     def test_restore_holds_the_given_arrays(self):
         rng = np.random.default_rng(23)
         entries = [(j, _rand_entry(rng)) for j in (2, 5, 7)]

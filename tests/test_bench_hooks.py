@@ -37,8 +37,9 @@ def test_traced_run_reaches_every_layer():
     with tracer.active():
         train(TrainConfig(epochs=1, batch_size=4, bank_size=1), tr, va)
     names = {s.name for s in tracer.spans}
-    assert {"selection.forward", "selection.bwd", "bank.sample_top_k", "bank.push",
-            "autodiff.backward", "training.adam_step"} <= names
+    # bank.alpha spans show that training computes alpha through the names the tracer wraps
+    assert {"selection.forward", "selection.bwd", "bank.sample_top_k", "bank.alpha",
+            "bank.push", "autodiff.backward", "training.adam_step"} <= names
 
 
 def test_epoch_rows_report_through_the_patched_name():

@@ -64,7 +64,9 @@ class TestConfig:
         (((32, 7.5, 1, 2), (64, 5, 1, 2)), "block 0: kernel_len must be an integer, got 7.5"),
         (((32, 7, 1), (64, 5, 1, 2)), r"block 0: need .*, got \(32, 7, 1\)"),
         (((32, 7, 1, 2), (64, 5, True, 2)), "block 1: stride must be an integer, got True"),
-    ], ids=["float_kernel", "three_entries", "bool_stride"])
+        (5, "blocks must be a non-empty sequence, got 5"),
+        ((5,), r"block 0: need .*, got 5"),
+    ], ids=["float_kernel", "three_entries", "bool_stride", "int_blocks", "int_block"])
     def test_malformed_block_rejected(self, blocks, match):
         with pytest.raises(ValidationError, match=match):
             Encoder(EncoderConfig(blocks=blocks), seed=0)

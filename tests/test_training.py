@@ -596,7 +596,8 @@ class TestCheckpointIO:
         tr, va, te = tiny_splits
         ckpt = train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va).final
         for name in ("config/lr", "config/enc.blocks", "param/head.w",
-                     "state/bn.enc.0.mean", "state/bn.fs.var"):
+                     "state/bn.enc.0.mean", "state/bn.fs.var",
+                     "bank/0001/iter", "bank/0001/grads"):
             partial = Checkpoint({k: v for k, v in ckpt.tensors.items() if k != name})
             with pytest.raises(ValidationError, match=f"lacks tensor '{name}'"):
                 evaluate(partial, te)
@@ -715,6 +716,22 @@ class TestCheckpointIO:
         with pytest.raises(error, match=field):
             restore_model(Checkpoint({**one_epoch.tensors, name: np.asarray(5.0)}))
 
+    def test_bank_of_10001_entries_restores_in_iteration_order(self):
+        # the writer numbers entries bank/0000 .. bank/10000; "bank/10000"
+        # sorts before "bank/1000", so names must not be read in sorted order
+        enc_cfg = EncoderConfig(in_channels=2, clip_len=20, blocks=((2, 3, 1, 2), (3, 3, 1, 2)))
+        cfg = TrainConfig(encoder=enc_cfg, bank_size=10000)
+        enc = Encoder(enc_cfg, seed=cfg.seed)
+        sel = training._make_selector(cfg)
+        shape = (1, *enc_cfg.feature_shape())
+        for it in range(1, 10002):
+            sel.bank.push(it, np.full(shape, float(it)))
+        ckpt = training._build_checkpoint(cfg, enc, sel, AdamMoments.zeros_like(enc.params),
+                                          epoch=1, iteration=10001)
+        _, _, restored = restore_model(ckpt)
+        assert [it for it, _ in restored.bank.entries] == list(range(1, 10002))
+        assert all(g[0, 0, 0] == it for it, g in restored.bank.entries)
+
     def test_repeated_bank_iteration_rejected(self, one_epoch):
         tensors = {**one_epoch.tensors, "bank/0001/iter": one_epoch.tensors["bank/0000/iter"]}
         with pytest.raises(ValidationError, match="bank"):
@@ -722,12 +739,13 @@ class TestCheckpointIO:
 
 
 class TestResume:
-    def test_resume_equals_uninterrupted(self, tiny_splits, tmp_path):
+    @pytest.mark.parametrize("fs_enabled", [True, False])
+    def test_resume_equals_uninterrupted(self, tiny_splits, tmp_path, fs_enabled):
         tr, va, _ = tiny_splits
-        cfg10 = _tiny_config(epochs=10, batch_size=8, bank_size=2)
+        cfg10 = _tiny_config(epochs=10, batch_size=8, bank_size=2, fs_enabled=fs_enabled)
         full = train(cfg10, tr, va)
 
-        cfg5 = _tiny_config(epochs=5, batch_size=8, bank_size=2)
+        cfg5 = replace(cfg10, epochs=5)
         first = train(cfg5, tr, va)
         p = tmp_path / "mid.bin"
         save(first.final, p)

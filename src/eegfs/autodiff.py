@@ -68,19 +68,35 @@ class ValidationError(ValueError):
     """Invalid argument value (labels, modes, hyperparameters)."""
 
 
-def check_integer(name: str, value) -> None:
+def check_integer(name: str, value, minimum: Optional[int] = None) -> None:
     """Raise ValidationError naming ``name`` unless ``value`` is an integer
-    (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    (a bool is not), and at least ``minimum`` when one is given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def check_integer_fields(config) -> None:
+def check_real(name: str, value) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is a real
+    number: an int, a float or a numpy scalar of either (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
+def check_field_types(config) -> None:
     """Raise ValidationError naming the first field of a config dataclass
-    whose default is an int and whose value is not an integer."""
+    whose value does not have the type of the field's default: an int
+    field takes an integer, a float field a real number, a bool field a
+    bool and a str field a str. Other fields are left to the caller."""
     for f in fields(config):
-        if type(f.default) is int:
-            check_integer(f.name, getattr(config, f.name))
+        kind, value = type(f.default), getattr(config, f.name)
+        if kind is int:
+            check_integer(f.name, value)
+        elif kind is float:
+            check_real(f.name, value)
+        elif kind in (bool, str) and not isinstance(value, kind):
+            raise ValidationError(f"{f.name} must be a {kind.__name__}, got {value!r}")
 
 
 _ACTIVE_TAPE: Optional["Tape"] = None
@@ -461,11 +477,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), rule)
 
 
-def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     """Temporal cross-correlation of (B, Cin, T) with kernels (Cout, Cin, k).
 
-    Output length is floor((T + 2*padding - k) / stride) + 1. No kernel
-    flip; differentiable in both x and w.
+    Output length is floor((T - k) / stride) + 1. No kernel flip;
+    differentiable in both x and w.
 
     The input is lowered to a channel-major im2col matrix ``cols`` of shape
     (Cin*k, B*T_out), built with one strided copy per kernel offset from
@@ -488,23 +504,17 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     c_out, c_in_w, k = w.shape
     if c_in != c_in_w:
         raise DimensionError(f"conv1d: input channels {c_in} != kernel channels {c_in_w}")
-    if stride < 1 or padding < 0:
-        raise ValidationError(f"conv1d: stride {stride} and padding {padding} must be >=1 and >=0")
-    t_pad = t_len + 2 * padding
-    if k > t_pad:
-        raise DimensionError(f"conv1d: kernel {k} larger than padded input {t_pad}")
-    t_out = (t_pad - k) // stride + 1
+    check_integer("conv1d: stride", stride, minimum=1)
+    if k > t_len:
+        raise DimensionError(f"conv1d: kernel {k} larger than input length {t_len}")
+    t_out = (t_len - k) // stride + 1
     span = stride * (t_out - 1) + 1  # input positions one kernel offset reads
     xd = x.data
 
     def lower() -> np.ndarray:
-        # Channel-major im2col: cols[ci, kk, b, t] = xp[b, ci, t*stride + kk], so
+        # Channel-major im2col: cols[ci, kk, b, t] = x[b, ci, t*stride + kk], so
         # rows follow w's (Cin, k) layout and each offset is one strided copy.
         xt = xd.transpose(1, 0, 2)  # (Cin, B, T) view
-        if padding:
-            xp = np.zeros((c_in, batch, t_pad))
-            xp[:, :, padding:padding + t_len] = xt
-            xt = xp
         cols = np.empty((c_in, k, batch, t_out))
         for kk in range(k):
             cols[:, kk] = xt[:, :, kk:kk + span:stride]
@@ -520,11 +530,10 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         if not need_x:  # e.g. the raw clip batch
             return (None, gw)
         gcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
-        gxp = np.zeros((c_in, batch, t_pad))
+        gxt = np.zeros((c_in, batch, t_len))
         for kk in range(k):  # windows overlap, so scatter-add per offset
-            gxp[:, :, kk:kk + span:stride] += gcols[:, kk]
-        gx = np.ascontiguousarray(gxp[:, :, padding:padding + t_len].transpose(1, 0, 2))
-        return (gx, gw)
+            gxt[:, :, kk:kk + span:stride] += gcols[:, kk]
+        return (np.ascontiguousarray(gxt.transpose(1, 0, 2)), gw)
 
     return _record(out, (x, w), rule)
 
@@ -534,8 +543,7 @@ def avg_pool1d(x: Tensor, pool_len: int) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 3:
         raise DimensionError(f"avg_pool1d: need (B,C,T), got {x.shape}")
-    if pool_len < 1:
-        raise ValidationError(f"avg_pool1d: pool_len {pool_len} must be >= 1")
+    check_integer("avg_pool1d: pool_len", pool_len, minimum=1)
     t_len = x.shape[2]
     t_out = t_len // pool_len
     if t_out < 1:
@@ -645,7 +653,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
 
 def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
-    """Mean softmax cross-entropy of (B, num_classes) logits vs int labels."""
+    """Mean softmax cross-entropy of (B, classes) logits vs int labels."""
     logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise DimensionError(f"cross_entropy_logits: need (B, classes), got {logits.shape}")

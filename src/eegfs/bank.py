@@ -84,12 +84,8 @@ class GradientBank:
 
     def __init__(self, capacity: int, top_k: int, decay: float,
                  channels: int, spatial: int):
-        check_integer("bank capacity", capacity)
-        check_integer("top_k", top_k)
-        if capacity < 1:
-            raise ValidationError(f"bank capacity must be >= 1, got {capacity}")
-        if top_k < 1:
-            raise ValidationError(f"top_k must be >= 1, got {top_k}")
+        check_integer("bank capacity", capacity, minimum=1)
+        check_integer("top_k", top_k, minimum=1)
         if not 0.0 <= decay <= 1.0:
             raise ValidationError(f"decay must lie in [0, 1], got {decay}")
         self.capacity = capacity

@@ -86,8 +86,7 @@ _KEYS = {
     "corpus.seed": "data_seed",
     "corpus.spike_width_ms": ("spike_width_ms_min", "spike_width_ms_max"),
     "enc.in_channels": "channels", "enc.clip_len": "timestamps",
-    "enc.activation_kind": "activation",
-    "encoder": None, "enc.num_classes": None,
+    "encoder": None,
 }
 _SECTIONS = (("corpus.", CorpusSpec), ("", TrainConfig), ("enc.", EncoderConfig))
 

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import ValidationError, check_integer_fields
+from .autodiff import ValidationError, check_field_types, check_integer, check_real
 
 MAGIC = b"EEGS"
 FORMAT_VERSION = 1
@@ -154,20 +154,22 @@ class CorpusSpec:
     seed: int = 42
 
     def validate(self) -> None:
-        check_integer_fields(self)
-        if self.n_clips < 1:
-            raise ValidationError("n_clips must be >= 1")
+        check_field_types(self)
+        check_integer("n_clips", self.n_clips, minimum=1)
         if self.channels < 1 or self.timestamps < 2:
             raise ValidationError("channels and timestamps must be positive")
         if not 0.0 <= self.class_balance <= 1.0:
             raise ValidationError(f"class_balance {self.class_balance} outside [0, 1]")
         if not (0 < self.noise_sigma < np.inf and 0 < self.spike_amplitude < np.inf):
             raise ValidationError("noise_sigma and spike_amplitude must be finite and > 0")
-        if self.sample_rate < 1:
-            raise ValidationError(f"sample_rate {self.sample_rate} must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed {self.seed} must be >= 0")
-        lo, hi = self.spike_width_ms
+        check_integer("sample_rate", self.sample_rate, minimum=1)
+        check_integer("seed", self.seed, minimum=0)
+        width = self.spike_width_ms
+        if not isinstance(width, (tuple, list)) or len(width) != 2:
+            raise ValidationError(f"spike_width_ms must be a (min, max) pair, got {width!r}")
+        for bound in width:
+            check_real("spike_width_ms", bound)
+        lo, hi = width
         if not 0 < lo <= hi:
             raise ValidationError(f"spike width range ({lo}, {hi}) must be increasing and > 0")
         clip_ms = self.timestamps / self.sample_rate * 1000.0

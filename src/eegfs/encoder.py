@@ -15,10 +15,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Tensor, ValidationError, check_integer, check_integer_fields
+from .autodiff import BatchNormState, Tensor, ValidationError, check_field_types, check_integer
 
 
 ACTIVATIONS = ("softmax", "sigmoid")  # checkpoint code = index
+NUM_CLASSES = 2  # the head scores negative and positive clips
 BLOCK_FIELDS = ("out_channels", "kernel_len", "stride", "pool_len")
 
 
@@ -29,13 +30,12 @@ class EncoderConfig:
     # one BLOCK_FIELDS tuple per block
     blocks: tuple[tuple[int, int, int, int], ...] = ((32, 7, 1, 2), (64, 5, 1, 2))
     insertion_layer: int = 0
-    num_classes: int = 2
-    activation_kind: str = "softmax"
+    activation: str = "softmax"
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
 
     def validate(self) -> None:
-        check_integer_fields(self)
+        check_field_types(self)
         if not isinstance(self.blocks, (tuple, list)) or not self.blocks:
             raise ValidationError(f"blocks must be a non-empty sequence, got {self.blocks!r}")
         for i, block in enumerate(self.blocks):
@@ -46,10 +46,9 @@ class EncoderConfig:
         if not 0 <= self.insertion_layer < len(self.blocks):
             raise ValidationError(
                 f"insertion_layer {self.insertion_layer} outside [0, {len(self.blocks)})")
-        if self.in_channels < 1 or self.num_classes < 2:
-            raise ValidationError("in_channels must be >= 1 and num_classes >= 2")
-        if self.activation_kind not in ACTIVATIONS:
-            raise ValidationError(f"unknown activation_kind {self.activation_kind!r}")
+        check_integer("in_channels", self.in_channels, minimum=1)
+        if self.activation not in ACTIVATIONS:
+            raise ValidationError(f"unknown activation {self.activation!r}")
         if not 0.0 < self.bn_eps < np.inf:
             raise ValidationError(f"bn_eps {self.bn_eps} must be finite and > 0")
         if not 0.0 <= self.bn_momentum <= 1.0:
@@ -76,16 +75,15 @@ class EncoderConfig:
             out.append(t)
         return out
 
-    def feature_shape(self, layer: Optional[int] = None) -> tuple[int, int]:
-        """(channels, spatial) of the feature map after the given block."""
-        layer = self.insertion_layer if layer is None else layer
-        return self.blocks[layer][0], self.temporal_lengths()[layer]
+    def feature_shape(self) -> tuple[int, int]:
+        """(channels, spatial) of the feature map after the insertion block."""
+        return self.blocks[self.insertion_layer][0], self.temporal_lengths()[self.insertion_layer]
 
-    def stride_product(self, layer: Optional[int] = None) -> int:
-        """Cumulative temporal reduction factor up to and including a block."""
-        layer = self.insertion_layer if layer is None else layer
+    def stride_product(self) -> int:
+        """Cumulative temporal reduction factor up to and including the
+        insertion block."""
         factor = 1
-        for _, _, stride, pool in self.blocks[:layer + 1]:
+        for _, _, stride, pool in self.blocks[:self.insertion_layer + 1]:
             factor *= stride * pool
         return factor
 
@@ -100,8 +98,8 @@ class EncoderConfig:
             shapes[f"block{i}.conv.w"] = (c_out, c_in, k)
             shapes[f"block{i}.bn.gamma"] = shapes[f"block{i}.bn.beta"] = (c_out,)
             c_in = c_out
-        shapes["head.w"] = (self.flat_features(), self.num_classes)
-        shapes["head.b"] = (self.num_classes,)
+        shapes["head.w"] = (self.flat_features(), NUM_CLASSES)
+        shapes["head.b"] = (NUM_CLASSES,)
         return shapes
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, DimensionError, Tensor, ValidationError
+from .autodiff import BatchNormState, DimensionError, Tensor, ValidationError, check_integer
 from .bank import GradientBank, apply_decay, compute_alpha
 from .encoder import ACTIVATIONS
 
@@ -53,7 +53,7 @@ class FeatureSelector:
     whole selection module of one insertion site.
 
     Owns the gradient bank, the momentum blend coefficient ``momentum``,
-    the entropy activation (``activation_kind``, softmax or sigmoid), the
+    the entropy activation (``activation``, softmax or sigmoid), the
     heat map's batch-norm running statistics ``bn`` (sized from
     ``bank.channels``) with their ``bn_eps`` and ``bn_momentum``, the one
     channel-weight vector ``alpha`` and the location weights of the last
@@ -62,16 +62,15 @@ class FeatureSelector:
     exact identity); evaluation reads it as it stands.
     """
 
-    def __init__(self, bank: GradientBank, momentum: float, activation_kind: str = "softmax",
+    def __init__(self, bank: GradientBank, momentum: float, activation: str = "softmax",
                  bn_eps: float = 1e-5, bn_momentum: float = 0.1):
         if not 0.0 <= momentum <= 1.0:
             raise ValidationError(f"momentum must lie in [0, 1], got {momentum}")
-        if activation_kind not in ACTIVATIONS:
-            raise ValidationError(
-                f"activation_kind must be softmax|sigmoid, got {activation_kind!r}")
+        if activation not in ACTIVATIONS:
+            raise ValidationError(f"activation must be softmax|sigmoid, got {activation!r}")
         self.bank = bank
         self.momentum = momentum
-        self.activation_kind = activation_kind
+        self.activation = activation
         self.bn = BatchNormState(bank.channels)
         self.bn_eps = bn_eps
         self.bn_momentum = bn_momentum
@@ -102,7 +101,7 @@ def fs_forward(h: Tensor, bank: GradientBank, sel: FeatureSelector, mode: str) -
 
     v = heat_map(h, sel, mode)
     pooled = ad.mean_over_axes(v, (0,))  # (C, S)
-    if sel.activation_kind == "softmax":
+    if sel.activation == "softmax":
         p = ad.softmax(pooled, axis=0)
         plogp = ad.xlogx(p)
     else:
@@ -130,8 +129,7 @@ def export_attribution(sel: FeatureSelector, clip, stride_product: int) -> np.nd
     """
     if sel.last_lambda is None:
         raise ValidationError("no location weights recorded yet; run a forward pass")
-    if stride_product < 1:
-        raise ValidationError(f"stride_product must be >= 1, got {stride_product}")
+    check_integer("stride_product", stride_product, minimum=1)
     lam = sel.last_lambda
     idx = np.minimum(np.arange(clip.data.shape[1]) // stride_product, len(lam) - 1)
     return lam[idx]

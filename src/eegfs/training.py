@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, ValidationError, check_integer_fields
+from .autodiff import Tensor, ValidationError, check_field_types, check_integer
 from .bank import BankUsageError, GradientBank, NonFiniteGradientError
 from .data import BinaryReader, Dataset, ParseError, pack
 from .encoder import ACTIVATIONS, Encoder, EncoderConfig
@@ -58,7 +58,7 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def validate(self) -> None:
-        check_integer_fields(self)
+        check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1 or self.seed < 0:
             raise ValidationError("epochs and batch_size must be positive, seed >= 0")
         if self.bank_size < 1 or self.top_k < 1:
@@ -159,7 +159,7 @@ def _config_fields(cls, prefix: str):
     dataclass; the nested encoder config is stored under its own prefix."""
     for f in fields(cls):
         if f.name != "encoder":
-            yield f, prefix + ("activation" if f.name == "activation_kind" else f.name)
+            yield f, prefix + f.name
 
 
 def _encode(value) -> np.ndarray:
@@ -321,7 +321,7 @@ def _make_selector(config: TrainConfig) -> FeatureSelector:
     chans, spat = ec.feature_shape()
     bank = GradientBank(capacity=config.bank_size, top_k=config.top_k,
                         decay=config.decay, channels=chans, spatial=spat)
-    return FeatureSelector(bank, config.momentum, ec.activation_kind, ec.bn_eps, ec.bn_momentum)
+    return FeatureSelector(bank, config.momentum, ec.activation, ec.bn_eps, ec.bn_momentum)
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[TrainConfig, Encoder, Optional[FeatureSelector]]:
@@ -398,8 +398,7 @@ def _run_eval(enc: Encoder, sel: Optional[FeatureSelector], ds: Dataset,
               batch_size: int) -> tuple[np.ndarray, np.ndarray, float]:
     if not ds.clips:
         raise ValidationError("evaluation dataset must be non-empty")
-    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
-        raise ValidationError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    check_integer("batch_size", batch_size, minimum=1)
     batches = []
     loss_sum = 0.0
     for start in range(0, len(ds.clips), batch_size):

@@ -24,13 +24,11 @@ def matmul_loops(a, b):
     return out
 
 
-def conv1d_loops(x, w, stride=1, padding=0):
+def conv1d_loops(x, w, stride=1):
     """Nested-sum cross-correlation over (B,Cin,T) and (Cout,Cin,k)."""
     bsz, c_in, t_len = x.shape
     c_out, _, k = w.shape
-    xp = np.zeros((bsz, c_in, t_len + 2 * padding))
-    xp[:, :, padding:padding + t_len] = x
-    t_out = (t_len + 2 * padding - k) // stride + 1
+    t_out = (t_len - k) // stride + 1
     out = np.zeros((bsz, c_out, t_out))
     for b in range(bsz):
         for co in range(c_out):
@@ -38,7 +36,7 @@ def conv1d_loops(x, w, stride=1, padding=0):
                 acc = 0.0
                 for ci in range(c_in):
                     for kk in range(k):
-                        acc += xp[b, ci, t * stride + kk] * w[co, ci, kk]
+                        acc += x[b, ci, t * stride + kk] * w[co, ci, kk]
                 out[b, co, t] = acc
     return out
 
@@ -48,35 +46,30 @@ def _offset_window(arr, kk, stride, t_out):
     return arr[:, :, kk:kk + stride * (t_out - 1) + 1:stride]
 
 
-def conv1d_offsets(x, w, stride=1, padding=0):
+def conv1d_offsets(x, w, stride=1):
     """Cross-correlation summed one kernel offset at a time with einsum."""
-    bsz, c_in, t_len = x.shape
+    bsz, _, t_len = x.shape
     c_out, _, k = w.shape
-    xp = np.zeros((bsz, c_in, t_len + 2 * padding))
-    xp[:, :, padding:padding + t_len] = x
-    t_out = (t_len + 2 * padding - k) // stride + 1
+    t_out = (t_len - k) // stride + 1
     out = np.zeros((bsz, c_out, t_out))
     for kk in range(k):
-        out += np.einsum("bit,oi->bot", _offset_window(xp, kk, stride, t_out), w[:, :, kk])
+        out += np.einsum("bit,oi->bot", _offset_window(x, kk, stride, t_out), w[:, :, kk])
     return out
 
 
-def conv1d_vjp_offsets(x, w, g, stride=1, padding=0):
+def conv1d_vjp_offsets(x, w, g, stride=1):
     """(gx, gw) of sum(g * conv1d(x, w)), one kernel offset at a time."""
-    bsz, c_in, t_len = x.shape
-    c_out, _, k = w.shape
-    xp = np.zeros((bsz, c_in, t_len + 2 * padding))
-    xp[:, :, padding:padding + t_len] = x
+    k = w.shape[2]
     t_out = g.shape[2]
-    gxp = np.zeros_like(xp)
+    gx = np.zeros_like(x)
     gw = np.zeros_like(w)
     for kk in range(k):
-        gw[:, :, kk] = np.einsum("bot,bit->oi", g, _offset_window(xp, kk, stride, t_out))
-        _offset_window(gxp, kk, stride, t_out)[...] += np.einsum("bot,oi->bit", g, w[:, :, kk])
-    return gxp[:, :, padding:padding + t_len], gw
+        gw[:, :, kk] = np.einsum("bot,bit->oi", g, _offset_window(x, kk, stride, t_out))
+        _offset_window(gx, kk, stride, t_out)[...] += np.einsum("bot,oi->bit", g, w[:, :, kk])
+    return gx, gw
 
 
-def conv1d_vjp_basis(x, w, g, stride=1, padding=0):
+def conv1d_vjp_basis(x, w, g, stride=1):
     """(gx, gw) of the bilinear sum(g * conv1d_loops(x, w)), one input
     element at a time: the derivative along a basis vector e is the value
     at e, because the map is linear in each argument."""
@@ -88,8 +81,8 @@ def conv1d_vjp_basis(x, w, g, stride=1, padding=0):
             out[idx] = value_at(e)
         return out
 
-    gx = along(x.shape, lambda e: (g * conv1d_loops(e, w, stride, padding)).sum())
-    gw = along(w.shape, lambda e: (g * conv1d_loops(x, e, stride, padding)).sum())
+    gx = along(x.shape, lambda e: (g * conv1d_loops(e, w, stride)).sum())
+    gw = along(w.shape, lambda e: (g * conv1d_loops(x, e, stride)).sum())
     return gx, gw
 
 

@@ -114,8 +114,8 @@ def _op_cases():
          lambda rng: [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)),
                       rng.standard_normal((3, 2))]),
         ("conv1d", lambda ts: ad.sum_over_axes(
-            ad.mul(ad.conv1d(ts[0], ts[1], stride=2, padding=1), ts[2]), (0, 1, 2)),
-         lambda rng: [rng.standard_normal((2, 3, 9)), rng.standard_normal((4, 3, 3)),
+            ad.mul(ad.conv1d(ts[0], ts[1], stride=2), ts[2]), (0, 1, 2)),
+         lambda rng: [rng.standard_normal((2, 3, 11)), rng.standard_normal((4, 3, 3)),
                       rng.standard_normal((2, 4, 5))]),
         ("avg_pool", lambda ts: ad.sum_over_axes(ad.mul(ad.avg_pool1d(ts[0], 2), ts[1]), (0, 1, 2)),
          lambda rng: [rng.standard_normal((2, 3, 7)), rng.standard_normal((2, 3, 3))]),

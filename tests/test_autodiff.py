@@ -89,9 +89,14 @@ def _vjp(op, arrays, g):
     return out, [t.grad for t in tensors]
 
 
-def _conv_vjp(x, w, g, stride, padding):
-    _, grads = _vjp(lambda a, b: conv1d(a, b, stride=stride, padding=padding), [x, w], g)
+def _conv_vjp(x, w, g, stride):
+    _, grads = _vjp(lambda a, b: conv1d(a, b, stride=stride), [x, w], g)
     return grads
+
+
+def _zero_padded(x, padding):
+    """``x`` with ``padding`` zeros added at both ends of its temporal axis."""
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding)))
 
 
 class TestConv1d:
@@ -118,10 +123,10 @@ class TestConv1d:
     @pytest.mark.parametrize("stride,padding", [(1, 2), (2, 0), (3, 1)])
     def test_stride_padding_against_nested_sum(self, stride, padding):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 2, 13))
+        x = _zero_padded(rng.standard_normal((2, 2, 13)), padding)
         w = rng.standard_normal((3, 2, 4))
-        got = conv1d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
-        assert np.abs(got - conv1d_loops(x, w, stride, padding)).max() < 1e-12
+        got = conv1d(Tensor(x), Tensor(w), stride=stride).data
+        assert np.abs(got - conv1d_loops(x, w, stride)).max() < 1e-12
 
     def test_kernel_larger_than_input(self):
         with pytest.raises(DimensionError, match="kernel"):
@@ -134,14 +139,13 @@ class TestConv1d:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 2), (2, 1), (3, 2), (4, 0)])
     def test_offset_oracles_against_loops(self, stride, padding):
         rng = np.random.default_rng(40 + stride)
-        x = rng.standard_normal((2, 3, 11))
+        x = _zero_padded(rng.standard_normal((2, 3, 11)), padding)
         w = rng.standard_normal((2, 3, 4))
-        want = conv1d_loops(x, w, stride, padding)
-        assert np.abs(conv1d_offsets(x, w, stride, padding) - want).max() < 1e-12
+        want = conv1d_loops(x, w, stride)
+        assert np.abs(conv1d_offsets(x, w, stride) - want).max() < 1e-12
         g = rng.standard_normal(want.shape)
-        basis = conv1d_vjp_basis(x, w, g, stride, padding)
-        for grads in (_conv_vjp(x, w, g, stride, padding),
-                      conv1d_vjp_offsets(x, w, g, stride, padding)):
+        basis = conv1d_vjp_basis(x, w, g, stride)
+        for grads in (_conv_vjp(x, w, g, stride), conv1d_vjp_offsets(x, w, g, stride)):
             for got, oracle in zip(grads, basis):
                 assert np.abs(got - oracle).max() < 1e-12
 
@@ -149,27 +153,27 @@ class TestConv1d:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
     def test_production_shapes_against_offset_oracle(self, x_shape, w_shape, stride, padding):
         rng = np.random.default_rng(x_shape[1] + stride)
-        x = rng.standard_normal(x_shape)
+        x = _zero_padded(rng.standard_normal(x_shape), padding)
         w = rng.standard_normal(w_shape)
-        out = conv1d(Tensor(x), Tensor(w), stride=stride, padding=padding)
-        assert _rel_err(out.data, conv1d_offsets(x, w, stride, padding)) < 1e-12
+        out = conv1d(Tensor(x), Tensor(w), stride=stride)
+        assert _rel_err(out.data, conv1d_offsets(x, w, stride)) < 1e-12
         g = rng.standard_normal(out.shape)
-        gx, gw = _conv_vjp(x, w, g, stride, padding)
-        want_gx, want_gw = conv1d_vjp_offsets(x, w, g, stride, padding)
+        gx, gw = _conv_vjp(x, w, g, stride)
+        want_gx, want_gw = conv1d_vjp_offsets(x, w, g, stride)
         assert _rel_err(gx, want_gx) < 1e-12
         assert _rel_err(gw, want_gw) < 1e-12
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
     def test_rule_skips_constant_input(self, stride, padding):
         rng = np.random.default_rng(23 + stride)
-        x = rng.standard_normal((64, 16, 250))
+        x = _zero_padded(rng.standard_normal((64, 16, 250)), padding)
         w = rng.standard_normal((32, 16, 7))
         rules = {}
         for x_live in (False, True):
             tape = Tape()
             with tape:
                 out = conv1d(Tensor(x, requires_grad=x_live), Tensor(w, requires_grad=True),
-                             stride=stride, padding=padding)
+                             stride=stride)
             rules[x_live] = tape._records[-1][2]
         g = rng.standard_normal(out.shape)
         gx_pruned, gw_pruned = rules[False](g)
@@ -395,11 +399,11 @@ class TestBackward:
         rng = np.random.default_rng(16)
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        c = Tensor(rng.standard_normal((4, 2, 9)), requires_grad=True)
+        c = Tensor(rng.standard_normal((4, 2, 11)), requires_grad=True)
         k = Tensor(rng.standard_normal((3, 2, 3)), requires_grad=True)
         tape = Tape()
         with tape:
-            h = conv1d(c, k, stride=2, padding=1)  # rebuilds its columns on each sweep
+            h = conv1d(c, k, stride=2)  # rebuilds its columns on each sweep
             loss = add(cross_entropy_logits(matmul(x, w), [0, 1, 0, 1]),
                        mean_over_axes(mul(h, h), (0, 1, 2)))
         leaves = (x, w, c, k)
@@ -536,9 +540,8 @@ GRAD_CASES = [
     ("matmul", lambda ts: sum_over_axes(mul(matmul(ts[0], ts[1]), ts[2]), (0, 1)),
      lambda rng: [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)),
                   rng.standard_normal((3, 2))]),
-    ("conv1d", lambda ts: sum_over_axes(mul(conv1d(ts[0], ts[1], stride=2, padding=1), ts[2]),
-                                        (0, 1, 2)),
-     lambda rng: [rng.standard_normal((2, 3, 9)), rng.standard_normal((4, 3, 3)),
+    ("conv1d", lambda ts: sum_over_axes(mul(conv1d(ts[0], ts[1], stride=2), ts[2]), (0, 1, 2)),
+     lambda rng: [rng.standard_normal((2, 3, 11)), rng.standard_normal((4, 3, 3)),
                   rng.standard_normal((2, 4, 5))]),
     ("avg_pool", lambda ts: sum_over_axes(mul(avg_pool1d(ts[0], 2), ts[1]), (0, 1, 2)),
      lambda rng: [rng.standard_normal((2, 3, 7)), rng.standard_normal((2, 3, 3))]),
@@ -565,8 +568,9 @@ def test_finite_difference_gradients(name, build, gen):
 # Each entry: (name, op over input tensors, input shapes). Production shapes.
 LAYOUT_CASES = [
     ("conv1d", lambda x, w: conv1d(x, w), [(64, 16, 250), (32, 16, 7)]),
-    ("conv1d_strided_padded", lambda x, w: conv1d(x, w, stride=2, padding=1),
-     [(64, 32, 122), (64, 32, 5)]),
+    # a 122-sample block-1 input after one zero of padding at each end
+    ("conv1d_strided_padded", lambda x, w: conv1d(x, w, stride=2),
+     [(64, 32, 124), (64, 32, 5)]),
     ("batchnorm_train", lambda x, g, b: batchnorm(x, g, b, BatchNormState(32), "train"),
      [(64, 32, 244), (32,), (32,)]),
     ("batchnorm_eval", lambda x, g, b: batchnorm(x, g, b, BatchNormState(64), "eval"),

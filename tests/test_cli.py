@@ -98,7 +98,7 @@ class TestResolveConfig:
             adam_beta2=0.99, adam_eps=1e-7, seed=5, bank_size=3, top_k=2,
             momentum=0.5, decay=0.7, fs_enabled=False, encoder=EncoderConfig(
                 in_channels=4, clip_len=80, blocks=((4, 5, 1, 2), (6, 3, 1, 1)),
-                insertion_layer=1, activation_kind="sigmoid", bn_eps=0.0001,
+                insertion_layer=1, activation="sigmoid", bn_eps=0.0001,
                 bn_momentum=0.3))
 
 

@@ -90,6 +90,19 @@ class TestGenerate:
         with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
             generate(CorpusSpec(**{field: value}))
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("noise_sigma", "x", "noise_sigma must be a real number, got 'x'"),
+        ("class_balance", None, "class_balance must be a real number, got None"),
+        ("spike_amplitude", True, "spike_amplitude must be a real number, got True"),
+        ("spike_width_ms", (1,), r"spike_width_ms must be a \(min, max\) pair, got \(1,\)"),
+        ("spike_width_ms", 30.0, r"spike_width_ms must be a \(min, max\) pair, got 30.0"),
+        ("spike_width_ms", ("a", 40.0), "spike_width_ms must be a real number, got 'a'"),
+    ], ids=["str_noise", "none_balance", "bool_amplitude", "short_width", "scalar_width",
+            "str_width"])
+    def test_value_of_wrong_type_rejected(self, field, value, match):
+        with pytest.raises(ValidationError, match=match):
+            generate(CorpusSpec(**{field: value}))
+
     @pytest.mark.parametrize("spec", [
         CorpusSpec(n_clips=300),
         CorpusSpec(n_clips=30, channels=1, spike_channel_span=1, n_groups=5),

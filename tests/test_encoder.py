@@ -1,6 +1,8 @@
 """Encoder tests: construction determinism, shape arithmetic, hook
 semantics, and gradient capture fidelity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def _tiny_config(**kw):
 def _armed_selector(cfg, rng, entries=3, q=2, b=2):
     chans, spat = cfg.feature_shape()
     bank = GradientBank(capacity=q, top_k=1, decay=0.5, channels=chans, spatial=spat)
-    sel = FeatureSelector(bank, 0.2, activation_kind=cfg.activation_kind)
+    sel = FeatureSelector(bank, 0.2, activation=cfg.activation)
     for j in range(1, entries + 1):
         bank.push(j, rng.standard_normal((b, chans, spat)))
     return sel
@@ -30,7 +32,7 @@ class TestConfig:
     def test_default_temporal_arithmetic(self):
         cfg = EncoderConfig()
         assert cfg.temporal_lengths() == [122, 59]
-        assert cfg.feature_shape(1) == (64, 59)
+        assert replace(cfg, insertion_layer=1).feature_shape() == (64, 59)
         assert cfg.flat_features() == 64 * 59
 
     def test_zero_blocks_rejected(self):
@@ -53,11 +55,17 @@ class TestConfig:
         with pytest.raises(ValidationError, match=field):
             EncoderConfig(**{field: value}).validate()
 
-    @pytest.mark.parametrize("field", ["in_channels", "clip_len", "insertion_layer",
-                                       "num_classes"])
+    @pytest.mark.parametrize("field", ["in_channels", "clip_len", "insertion_layer"])
     def test_non_integer_value_rejected(self, field):
         value = getattr(EncoderConfig(), field) + 0.5
         with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
+            EncoderConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("bn_eps", "x", "a real number"), ("bn_momentum", True, "a real number"),
+        ("activation", 1, "a str"), ("activation", None, "a str")])
+    def test_value_of_wrong_type_rejected(self, field, value, kind):
+        with pytest.raises(ValidationError, match=f"{field} must be {kind}, got {value!r}"):
             EncoderConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("blocks, match", [
@@ -73,8 +81,8 @@ class TestConfig:
 
     def test_stride_product(self):
         cfg = EncoderConfig(blocks=((4, 3, 2, 2), (6, 3, 1, 3)), clip_len=64)
-        assert cfg.stride_product(0) == 4
-        assert cfg.stride_product(1) == 12
+        assert cfg.stride_product() == 4
+        assert replace(cfg, insertion_layer=1).stride_product() == 12
 
 
 class TestBuild:

@@ -32,7 +32,7 @@ def _selector(channels=4, spatial=6, q=2, k=1, decay=0.5, m=0.2, kind="softmax",
     """Selector with an optionally pre-filled bank."""
     bank = GradientBank(capacity=q, top_k=k, decay=decay,
                         channels=channels, spatial=spatial)
-    sel = FeatureSelector(bank, m, activation_kind=kind)
+    sel = FeatureSelector(bank, m, activation=kind)
     if fill:
         rng = rng or np.random.default_rng(99)
         for j in range(1, fill + 1):

@@ -122,6 +122,18 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
             _tiny_config(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("fs_enabled", "no", "a bool"), ("fs_enabled", 1, "a bool"),
+        ("lr", "x", "a real number"), ("momentum", None, "a real number"),
+        ("decay", True, "a real number")])
+    def test_value_of_wrong_type_rejected(self, field, value, kind):
+        with pytest.raises(ValidationError, match=f"{field} must be {kind}, got {value!r}"):
+            _tiny_config(**{field: value}).validate()
+
+    def test_real_field_takes_any_real_number(self):
+        _tiny_config(lr=np.float32(1e-3), momentum=0, decay=np.float64(0.5),
+                     weight_decay=np.int64(0)).validate()
+
     @pytest.mark.parametrize("field", ["bank_size", "top_k"])
     def test_bank_setting_rejected_with_selection_off(self, field):
         with pytest.raises(ValidationError, match=f"{field} 0"):
@@ -463,7 +475,7 @@ class TestEvaluate:
                 fn(one_epoch, empty)
 
     @pytest.mark.parametrize("fn", [predict, evaluate])
-    @pytest.mark.parametrize("batch_size", [0, -1, 2.5])
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
     def test_bad_batch_size_rejected(self, one_epoch, tiny_splits, fn, batch_size):
         with pytest.raises(ValidationError, match="batch_size must be an integer >= 1"):
             fn(one_epoch, tiny_splits[2], batch_size=batch_size)
@@ -568,7 +580,7 @@ class TestCheckpointIO:
     def test_every_config_field_round_trips(self, tiny_splits, tmp_path):
         tr, va, _ = tiny_splits
         enc = EncoderConfig(in_channels=4, clip_len=80, blocks=((4, 5, 1, 2), (6, 3, 1, 1)),
-                            insertion_layer=1, num_classes=3, activation_kind="sigmoid",
+                            insertion_layer=1, activation="sigmoid",
                             bn_eps=2e-5, bn_momentum=0.2)
         cfg = TrainConfig(epochs=1, batch_size=16, lr=3e-4, weight_decay=2e-4,
                           adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-7, seed=11,
@@ -584,7 +596,7 @@ class TestCheckpointIO:
             "config/bank_size", "config/batch_size", "config/decay",
             "config/enc.activation", "config/enc.blocks", "config/enc.bn_eps",
             "config/enc.bn_momentum", "config/enc.clip_len", "config/enc.in_channels",
-            "config/enc.insertion_layer", "config/enc.num_classes", "config/epochs",
+            "config/enc.insertion_layer", "config/epochs",
             "config/fs_enabled", "config/lr", "config/momentum", "config/seed",
             "config/top_k", "config/weight_decay"]
         assert ckpt.tensors["config/enc.activation"] == 1.0  # sigmoid
@@ -681,6 +693,32 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(restore_model(old)[2].alpha,
                                       restore_model(one_epoch)[2].alpha)
         assert evaluate(old, te) == evaluate(one_epoch, te)
+
+    def test_file_with_num_classes_restores_evaluates_and_resumes(self, one_epoch,
+                                                                  tiny_splits, tmp_path):
+        # older files also stored the head width as "config/enc.num_classes"
+        tr, va, te = tiny_splits
+        p = tmp_path / "old.bin"
+        save(Checkpoint({**one_epoch.tensors, "config/enc.num_classes": np.asarray(2.0)}), p)
+        old = load(p)
+        assert old.config() == one_epoch.config()
+        for name, param in restore_model(old)[1].params.items():
+            np.testing.assert_array_equal(param.data, one_epoch.tensors[f"param/{name}"])
+        assert evaluate(old, te) == evaluate(one_epoch, te)
+        cfg = replace(one_epoch.config(), epochs=2)
+        got, want = train(cfg, tr, va, resume=old), train(cfg, tr, va, resume=one_epoch)
+        assert got.final.tensors.keys() == want.final.tensors.keys()
+        for name, arr in want.final.tensors.items():
+            np.testing.assert_array_equal(got.final.tensors[name], arr)
+        assert got.log == want.log
+
+    def test_three_class_head_rejected(self, one_epoch, tiny_splits):
+        width = one_epoch.tensors["param/head.w"].shape[0]
+        ckpt = Checkpoint({**one_epoch.tensors, "config/enc.num_classes": np.asarray(3.0),
+                           "param/head.w": np.zeros((width, 3)), "param/head.b": np.zeros(3)})
+        for fn in (restore_model, lambda c: evaluate(c, tiny_splits[2])):
+            with pytest.raises(ValidationError, match="'param/head.w'"):
+                fn(ckpt)
 
     def test_restore_model_banks_the_loaded_arrays_without_a_copy(self, tiny_splits):
         tr, va, _ = tiny_splits

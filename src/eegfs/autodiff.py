@@ -77,24 +77,19 @@ def check_integer(name: str, value, minimum: Optional[int] = None) -> None:
         raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def check_real(name: str, value) -> None:
-    """Raise ValidationError naming ``name`` unless ``value`` is a real
-    number: an int, a float or a numpy scalar of either (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-
-
 def check_field_types(config) -> None:
     """Raise ValidationError naming the first field of a config dataclass
     whose value does not have the type of the field's default: an int
-    field takes an integer, a float field a real number, a bool field a
-    bool and a str field a str. Other fields are left to the caller."""
+    field takes an integer, a float field a real number (an int, a float
+    or a numpy scalar of either, but not a bool), a bool field a bool and
+    a str field a str. Other fields are left to the caller."""
     for f in fields(config):
         kind, value = type(f.default), getattr(config, f.name)
         if kind is int:
             check_integer(f.name, value)
-        elif kind is float:
-            check_real(f.name, value)
+        elif kind is float and (isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating))):
+            raise ValidationError(f"{f.name} must be a real number, got {value!r}")
         elif kind in (bool, str) and not isinstance(value, kind):
             raise ValidationError(f"{f.name} must be a {kind.__name__}, got {value!r}")
 
@@ -583,8 +578,12 @@ class BatchNormState:
         self.var = np.ones(channels)
 
 
+# variance floor and running-statistics weight of a batch (Ioffe & Szegedy 2015)
+BN_EPS, BN_MOMENTUM = 1e-5, 0.1
+
+
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-              mode: str, eps: float = 1e-5, momentum_bn: float = 0.1) -> Tensor:
+              mode: str, eps: float = BN_EPS, momentum_bn: float = BN_MOMENTUM) -> Tensor:
     """Per-channel normalization of (B, C, S) over batch and spatial axes.
 
     Train mode normalizes with (biased) batch statistics and updates the

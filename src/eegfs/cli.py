@@ -80,11 +80,10 @@ def _fmt(v) -> str:
 
 # Dataclass field -> CLI key, where the two differ. Fields are named
 # "corpus.<f>" (CorpusSpec), "enc.<f>" (EncoderConfig) or "<f>" (TrainConfig);
-# a tuple splits a (min, max) field into two keys, None keeps it off the CLI.
+# None keeps a field off the CLI.
 _KEYS = {
     "bank_size": "q", "top_k": "K", "momentum": "m", "decay": "gamma",
     "corpus.seed": "data_seed",
-    "corpus.spike_width_ms": ("spike_width_ms_min", "spike_width_ms_max"),
     "enc.in_channels": "channels", "enc.clip_len": "timestamps",
     "encoder": None,
 }
@@ -92,7 +91,7 @@ _SECTIONS = (("corpus.", CorpusSpec), ("", TrainConfig), ("enc.", EncoderConfig)
 
 
 def _field_keys(prefix: str, cls):
-    """(field, CLI key or key pair) for every field of ``cls`` the CLI sets."""
+    """(field, CLI key) for every field of ``cls`` the CLI sets."""
     for f in fields(cls):
         key = _KEYS.get(prefix + f.name, f.name)
         if key is not None:
@@ -118,10 +117,8 @@ def _schema() -> dict:
     }
     for prefix, cls in _SECTIONS:
         for f, key in _field_keys(prefix, cls):
-            if isinstance(key, tuple):
-                schema.update((k, (_parser(d), d)) for k, d in zip(key, f.default))
-            else:  # a key shared by two fields takes the first field's default
-                schema.setdefault(key, (_parser(f.default), f.default))
+            # a key shared by two fields takes the first field's default
+            schema.setdefault(key, (_parser(f.default), f.default))
     return schema
 
 
@@ -186,10 +183,7 @@ def write_resolved(values: dict, out_dir: Path) -> None:
 
 def _from(values: dict, prefix: str, cls, **nested):
     """A config dataclass built from resolved values."""
-    kwargs = {}
-    for f, key in _field_keys(prefix, cls):
-        kwargs[f.name] = tuple(values[k] for k in key) if isinstance(key, tuple) else values[key]
-    return cls(**kwargs, **nested)
+    return cls(**{f.name: values[key] for f, key in _field_keys(prefix, cls)}, **nested)
 
 
 def corpus_spec_from(values: dict) -> CorpusSpec:
@@ -272,7 +266,10 @@ def parse_grid(grid: str) -> dict[str, list]:
         raw = [v.strip() for v in rest.split(",") if v.strip()]
         if not raw:
             raise ValidationError(f"grid key {key!r} has no values")
-        out[key] = [_typed(key, v, f"grid key {key!r}") for v in raw]
+        typed = [_typed(key, v, f"grid key {key!r}") for v in raw]
+        if len({_fmt(v) for v in typed}) < len(typed):  # two cells would share a directory
+            raise ValidationError(f"grid key {key!r} repeats a value in {rest.strip()!r}")
+        out[key] = typed
     if not out:
         raise ValidationError("empty grid")
     return out

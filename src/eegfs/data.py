@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import ValidationError, check_field_types, check_integer, check_real
+from .autodiff import ValidationError, check_field_types, check_integer
 
 MAGIC = b"EEGS"
 FORMAT_VERSION = 1
@@ -148,7 +148,8 @@ class CorpusSpec:
     class_balance: float = 0.5
     noise_sigma: float = 1.0
     spike_amplitude: float = 5.0
-    spike_width_ms: tuple[float, float] = (20.0, 60.0)
+    spike_width_ms_min: float = 20.0
+    spike_width_ms_max: float = 60.0
     spike_channel_span: int = 4
     n_groups: int = 20
     seed: int = 42
@@ -164,12 +165,7 @@ class CorpusSpec:
             raise ValidationError("noise_sigma and spike_amplitude must be finite and > 0")
         check_integer("sample_rate", self.sample_rate, minimum=1)
         check_integer("seed", self.seed, minimum=0)
-        width = self.spike_width_ms
-        if not isinstance(width, (tuple, list)) or len(width) != 2:
-            raise ValidationError(f"spike_width_ms must be a (min, max) pair, got {width!r}")
-        for bound in width:
-            check_real("spike_width_ms", bound)
-        lo, hi = width
+        lo, hi = self.spike_width_ms_min, self.spike_width_ms_max
         if not 0 < lo <= hi:
             raise ValidationError(f"spike width range ({lo}, {hi}) must be increasing and > 0")
         clip_ms = self.timestamps / self.sample_rate * 1000.0
@@ -197,8 +193,9 @@ def _spike_draws(rng: np.random.Generator, spec: CorpusSpec):
     window."""
     t_len = spec.timestamps
     rate = spec.sample_rate
-    w_peak = rng.uniform(*spec.spike_width_ms) * rate / 1000.0   # samples (FWHM)
-    w_trough = rng.uniform(*spec.spike_width_ms) * rate / 1000.0
+    widths = (spec.spike_width_ms_min, spec.spike_width_ms_max)
+    w_peak = rng.uniform(*widths) * rate / 1000.0   # samples (FWHM)
+    w_trough = rng.uniform(*widths) * rate / 1000.0
     gap = (w_peak + w_trough) / 2.0
     lead = 2.0 * w_peak
     tail = 2.0 * w_trough

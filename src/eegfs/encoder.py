@@ -31,8 +31,6 @@ class EncoderConfig:
     blocks: tuple[tuple[int, int, int, int], ...] = ((32, 7, 1, 2), (64, 5, 1, 2))
     insertion_layer: int = 0
     activation: str = "softmax"
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
 
     def validate(self) -> None:
         check_field_types(self)
@@ -49,10 +47,6 @@ class EncoderConfig:
         check_integer("in_channels", self.in_channels, minimum=1)
         if self.activation not in ACTIVATIONS:
             raise ValidationError(f"unknown activation {self.activation!r}")
-        if not 0.0 < self.bn_eps < np.inf:
-            raise ValidationError(f"bn_eps {self.bn_eps} must be finite and > 0")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ValidationError(f"bn_momentum {self.bn_momentum} outside [0, 1]")
         self.temporal_lengths()
 
     def temporal_lengths(self) -> list[int]:
@@ -130,9 +124,7 @@ class Encoder:
         _, _, stride, pool = self.config.blocks[i]
         h = ad.conv1d(h, self.params[f"block{i}.conv.w"], stride=stride)
         h = ad.batchnorm(h, self.params[f"block{i}.bn.gamma"],
-                         self.params[f"block{i}.bn.beta"], self.bn_states[i],
-                         mode, eps=self.config.bn_eps,
-                         momentum_bn=self.config.bn_momentum)
+                         self.params[f"block{i}.bn.beta"], self.bn_states[i], mode)
         h = ad.relu(h)
         return ad.avg_pool1d(h, pool)
 

@@ -30,10 +30,19 @@ class MetricsReport:
     n: int
 
 
+def _binary_labels(labels) -> np.ndarray:
+    """``labels`` as an array; ValidationError unless each is 0 or 1 (booleans pass)."""
+    y = np.asarray(labels)
+    other = (y != 0) & (y != 1)  # NaN included
+    if other.any():
+        raise ValidationError(f"label {y[other].flat[0].item()!r} is not 0 or 1")
+    return y
+
+
 def confusion(probs: np.ndarray, labels: np.ndarray) -> tuple[int, int, int, int]:
     """(tp, fp, tn, fn), predicting positive where ``prob >= 0.5``."""
     p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels)
+    y = _binary_labels(labels)
     if p.shape != y.shape:
         raise ValidationError(f"{p.shape} probabilities for {y.shape} labels")
     outside = ~((p >= 0.0) & (p <= 1.0))  # NaN included
@@ -66,7 +75,7 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-statistic AUROC: probability a positive outranks a negative,
     ties counted one half (midranks)."""
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = _binary_labels(labels)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -34,8 +34,8 @@ def heat_map(h: Tensor, sel: "FeatureSelector", mode: str) -> Tensor:
     """Channel-weighted feature map, batch-normalized per channel.
 
     ``sel.alpha`` multiplies each channel of ``h``; the product is
-    normalized with ``sel.bn``, the selector's own running statistics,
-    using its ``bn_eps`` and ``bn_momentum`` (affine fixed at identity).
+    normalized with ``sel.bn``, the selector's own running statistics
+    (affine fixed at identity).
     """
     if h.data.ndim != 3:
         raise DimensionError(f"heat_map: need (B,C,S), got {h.shape}")
@@ -44,8 +44,7 @@ def heat_map(h: Tensor, sel: "FeatureSelector", mode: str) -> Tensor:
     if alpha.shape != (chans,):
         raise DimensionError(f"heat_map: alpha shape {alpha.shape} != ({chans},)")
     weighted = ad.mul(h, Tensor(alpha.reshape(chans, 1)))
-    return ad.batchnorm(weighted, Tensor(np.ones(chans)), Tensor(np.zeros(chans)),
-                        sel.bn, mode, eps=sel.bn_eps, momentum_bn=sel.bn_momentum)
+    return ad.batchnorm(weighted, Tensor(np.ones(chans)), Tensor(np.zeros(chans)), sel.bn, mode)
 
 
 class FeatureSelector:
@@ -55,15 +54,14 @@ class FeatureSelector:
     Owns the gradient bank, the momentum blend coefficient ``momentum``,
     the entropy activation (``activation``, softmax or sigmoid), the
     heat map's batch-norm running statistics ``bn`` (sized from
-    ``bank.channels``) with their ``bn_eps`` and ``bn_momentum``, the one
-    channel-weight vector ``alpha`` and the location weights of the last
-    pass, ``last_lambda``. Training recomputes ``alpha`` from the bank
-    every iteration once the bank is full (before that the hook is an
-    exact identity); evaluation reads it as it stands.
+    ``bank.channels``), the one channel-weight vector ``alpha`` and the
+    location weights of the last pass, ``last_lambda``. Training
+    recomputes ``alpha`` from the bank every iteration once the bank is
+    full (before that the hook is an exact identity); evaluation reads it
+    as it stands.
     """
 
-    def __init__(self, bank: GradientBank, momentum: float, activation: str = "softmax",
-                 bn_eps: float = 1e-5, bn_momentum: float = 0.1):
+    def __init__(self, bank: GradientBank, momentum: float, activation: str = "softmax"):
         if not 0.0 <= momentum <= 1.0:
             raise ValidationError(f"momentum must lie in [0, 1], got {momentum}")
         if activation not in ACTIVATIONS:
@@ -72,8 +70,6 @@ class FeatureSelector:
         self.momentum = momentum
         self.activation = activation
         self.bn = BatchNormState(bank.channels)
-        self.bn_eps = bn_eps
-        self.bn_momentum = bn_momentum
         self.alpha: Optional[np.ndarray] = None        # (C,)
         self.last_lambda: Optional[np.ndarray] = None  # (S,)
 

@@ -29,6 +29,7 @@ from .selection import FeatureSelector
 CHECKPOINT_MAGIC = b"IEFS"
 CHECKPOINT_VERSION = 1
 _DTYPE_F64 = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba 2015
 
 
 class DivergenceError(RuntimeError):
@@ -46,9 +47,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-4
     weight_decay: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 42
     bank_size: int = 8         # iterations of history searched (grid key "q")
     top_k: int = 1             # gradients kept per anchor (grid key "K")
@@ -70,11 +68,8 @@ class TrainConfig:
             raise ValidationError(f"decay {self.decay} outside (0, 1]")
         if not (0.0 < self.lr < math.inf and 0.0 <= self.weight_decay < math.inf):
             raise ValidationError("lr must be finite and > 0, weight_decay finite and >= 0")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0
-                and 0.0 < self.adam_eps < math.inf):
-            raise ValidationError(
-                f"adam_beta1 {self.adam_beta1} and adam_beta2 {self.adam_beta2} must lie "
-                f"in [0, 1), adam_eps {self.adam_eps} be finite and > 0")
+        if not isinstance(self.encoder, EncoderConfig):
+            raise ValidationError(f"encoder must be an EncoderConfig, got {self.encoder!r}")
         self.encoder.validate()
 
 
@@ -146,8 +141,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                 f"for {name}")
         p.data, moments.m[name], moments.v[name] = adam_update(
             p.data, grads[name], moments.m[name], moments.v[name], moments.t,
-            config.lr, config.weight_decay, config.adam_beta1,
-            config.adam_beta2, config.adam_eps)
+            config.lr, config.weight_decay, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +154,13 @@ def _config_fields(cls, prefix: str):
     for f in fields(cls):
         if f.name != "encoder":
             yield f, prefix + f.name
+
+
+# Settings that are constants now; checkpoints written before they were
+# fixed store them, and load only while each holds its fixed value.
+_FIXED_SETTINGS = {"config/adam_beta1": ADAM_BETA1, "config/adam_beta2": ADAM_BETA2,
+                   "config/adam_eps": ADAM_EPS, "config/enc.bn_eps": ad.BN_EPS,
+                   "config/enc.bn_momentum": ad.BN_MOMENTUM}
 
 
 def _encode(value) -> np.ndarray:
@@ -218,6 +219,12 @@ class Checkpoint:
         return self.tensors.get("alpha/frozen")
 
     def config(self) -> TrainConfig:
+        for name, fixed in _FIXED_SETTINGS.items():
+            if name in self.tensors and _decode(fixed, self.tensors[name], name) != fixed:
+                stored = self.tensors[name].item()
+                raise ValidationError(f"checkpoint tensor {name!r} holds {stored}; "
+                                      f"the setting is fixed at {fixed}")
+
         def build(cls, prefix, **nested):
             return cls(**{f.name: _decode(f.default, self.tensor(name), name)
                           for f, name in _config_fields(cls, prefix)}, **nested)
@@ -321,7 +328,7 @@ def _make_selector(config: TrainConfig) -> FeatureSelector:
     chans, spat = ec.feature_shape()
     bank = GradientBank(capacity=config.bank_size, top_k=config.top_k,
                         decay=config.decay, channels=chans, spatial=spat)
-    return FeatureSelector(bank, config.momentum, ec.activation, ec.bn_eps, ec.bn_momentum)
+    return FeatureSelector(bank, config.momentum, ec.activation)
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[TrainConfig, Encoder, Optional[FeatureSelector]]:

@@ -403,8 +403,9 @@ def _spike_formula(rng, data, spec):
     """Biphasic transient: Gaussian peak of FWHM w_peak, then a 0.6-deep
     Gaussian trough, on ``spike_channel_span`` channels from c0."""
     t_len = data.shape[1]
-    w_peak = rng.uniform(*spec.spike_width_ms) * spec.sample_rate / 1000.0
-    w_trough = rng.uniform(*spec.spike_width_ms) * spec.sample_rate / 1000.0
+    widths = (spec.spike_width_ms_min, spec.spike_width_ms_max)
+    w_peak = rng.uniform(*widths) * spec.sample_rate / 1000.0
+    w_trough = rng.uniform(*widths) * spec.sample_rate / 1000.0
     gap = (w_peak + w_trough) / 2.0
     t0 = rng.uniform(2.0 * w_peak, t_len - 1 - 2.0 * w_trough - gap)
     t1 = t0 + gap

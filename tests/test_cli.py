@@ -71,8 +71,7 @@ class TestResolveConfig:
         write_resolved(resolve_config(None, []), tmp_path)
         lines = (tmp_path / "config.resolved").read_text().splitlines()
         assert [line.partition("=")[0] for line in lines] == [
-            "K", "activation", "adam_beta1", "adam_beta2", "adam_eps", "batch_size",
-            "blocks", "bn_eps", "bn_momentum", "channels", "class_balance",
+            "K", "activation", "batch_size", "blocks", "channels", "class_balance",
             "data_seed", "epochs", "fs_enabled", "gamma", "insertion_layer", "lr",
             "m", "n_clips", "n_groups", "noise_sigma", "q", "sample_rate", "seed",
             "spike_amplitude", "spike_channel_span", "spike_width_ms_max",
@@ -85,21 +84,18 @@ class TestResolveConfig:
             "class_balance=0.4", "noise_sigma=0.5", "spike_amplitude=3",
             "spike_width_ms_min=25", "spike_width_ms_max=50", "spike_channel_span=2",
             "n_groups=6", "data_seed=9", "epochs=3", "batch_size=8", "lr=0.001",
-            "weight_decay=0.01", "adam_beta1=0.8", "adam_beta2=0.99", "adam_eps=1e-7",
-            "seed=5", "q=3", "K=2", "m=0.5", "gamma=0.7", "fs_enabled=false",
-            "insertion_layer=1", "blocks=4:5:1:2,6:3:1:1", "activation=sigmoid",
-            "bn_eps=0.0001", "bn_momentum=0.3"])
+            "weight_decay=0.01", "seed=5", "q=3", "K=2", "m=0.5", "gamma=0.7",
+            "fs_enabled=false", "insertion_layer=1", "blocks=4:5:1:2,6:3:1:1",
+            "activation=sigmoid"])
         assert corpus_spec_from(values) == CorpusSpec(
             n_clips=30, channels=4, timestamps=80, sample_rate=200, class_balance=0.4,
-            noise_sigma=0.5, spike_amplitude=3.0, spike_width_ms=(25.0, 50.0),
-            spike_channel_span=2, n_groups=6, seed=9)
+            noise_sigma=0.5, spike_amplitude=3.0, spike_width_ms_min=25.0,
+            spike_width_ms_max=50.0, spike_channel_span=2, n_groups=6, seed=9)
         assert train_config_from(values) == TrainConfig(
-            epochs=3, batch_size=8, lr=0.001, weight_decay=0.01, adam_beta1=0.8,
-            adam_beta2=0.99, adam_eps=1e-7, seed=5, bank_size=3, top_k=2,
-            momentum=0.5, decay=0.7, fs_enabled=False, encoder=EncoderConfig(
+            epochs=3, batch_size=8, lr=0.001, weight_decay=0.01, seed=5, bank_size=3,
+            top_k=2, momentum=0.5, decay=0.7, fs_enabled=False, encoder=EncoderConfig(
                 in_channels=4, clip_len=80, blocks=((4, 5, 1, 2), (6, 3, 1, 1)),
-                insertion_layer=1, activation="sigmoid", bn_eps=0.0001,
-                bn_momentum=0.3))
+                insertion_layer=1, activation="sigmoid"))
 
 
 class TestGenData:
@@ -193,8 +189,8 @@ class TestTrain:
 
     def test_out_of_range_setting_exits_2_before_training(self, tmp_path, capsys):
         data = _gen(tmp_path)
-        rc, out = _train(tmp_path, data, extra=("bn_momentum=5",))
-        assert rc == 2 and "bn_momentum" in capsys.readouterr().err
+        rc, out = _train(tmp_path, data, extra=("m=5",))
+        assert rc == 2 and "momentum 5.0 outside [0, 1]" in capsys.readouterr().err
         assert not (out / "checkpoint.bin").exists()
 
     def test_nan_split_ratio_exits_2_without_traceback(self, tmp_path, capsys):
@@ -309,6 +305,11 @@ class TestAblate:
     def test_unknown_grid_key_rejected(self):
         with pytest.raises(ValidationError):
             parse_grid("lr=0.1,0.2")
+
+    @pytest.mark.parametrize("grid", ["q=2,2", "m=0,0.0", "q=4;gamma=0.5,0.25,0.50"])
+    def test_repeated_grid_value_rejected(self, grid):
+        with pytest.raises(ValidationError, match="repeats a value"):
+            parse_grid(grid)
 
     def test_grid_parse(self):
         g = parse_grid("q=4,8;m=0,0.2")
@@ -481,6 +482,33 @@ def _grid_key_twice(tmp_path, data, ckpt):
     return _ablate_argv(tmp_path, data, "q=2;q=3")
 
 
+def _grid_value_twice(tmp_path, data, ckpt):
+    return _ablate_argv(tmp_path, data, "q=2,2")
+
+
+def _grid_value_twice_once_typed(tmp_path, data, ckpt):
+    return _ablate_argv(tmp_path, data, "m=0,0.0")
+
+
+def _retired_key(tmp_path, data, ckpt):
+    return _train_argv(tmp_path, data, "--set", "adam_beta1=0.8")
+
+
+def _retired_key_in_config_echo(tmp_path, data, ckpt):
+    cfg = tmp_path / "config.resolved"
+    cfg.write_text("bn_eps=1e-05\nepochs=2\n")
+    return _train_argv(tmp_path, data, "--config", str(cfg))
+
+
+def _retired_setting_in_checkpoint(tmp_path, data, ckpt):
+    old = load(ckpt)
+    old.tensors["config/adam_beta1"] = np.asarray(0.8)
+    path = tmp_path / "old.bin"
+    save(old, path)
+    return ["train", "--data", str(data), "--out", str(tmp_path / "o"), "--resume",
+            str(path)] + _sets(SMALL + ["epochs=3", "fs_enabled=false"])
+
+
 def _grid_empty(tmp_path, data, ckpt):
     return _ablate_argv(tmp_path, data, ";")
 
@@ -504,6 +532,10 @@ _BAD_SETTINGS = [
     (_set_comment, "expected key=value"),
     (_grid_clause_without_values, "is not key=v1,v2"),
     (_grid_key_twice, "given twice"),
+    (_grid_value_twice, "grid key 'q' repeats a value"),
+    (_grid_value_twice_once_typed, "grid key 'm' repeats a value"),
+    (_retired_key, "unknown key 'adam_beta1'"),
+    (_retired_key_in_config_echo, "unknown key 'bn_eps'"),
     (_grid_empty, "empty grid")]
 
 
@@ -526,6 +558,7 @@ class TestInvalidInputExits2:
         (_attribution_without_selection, "no frozen channel weights"),
         (_zero_bank_without_selection, "bank_size 0"),
         (_ablate_missing_corpus, "nope.bin"),
+        (_retired_setting_in_checkpoint, "'config/adam_beta1' holds 0.8"),
         *_BAD_SETTINGS])
     def test_one_error_line_and_no_traceback(self, tmp_path, capsys, nofs_run, case, expected):
         argv = case(tmp_path, *nofs_run)

@@ -41,6 +41,29 @@ class TestConfusion:
             confusion([0.2, 0.7], [1])
 
 
+# the first label that is neither 0 nor 1, as the error names it
+_NON_BINARY_LABELS = [([2, 0, 1], "2"), ([0.5, 1.0], "0.5"), ([1, float("nan")], "nan"),
+                      ([0, -1], "-1")]
+
+
+class TestNonBinaryLabels:
+    @pytest.mark.parametrize("labels, first", _NON_BINARY_LABELS)
+    @pytest.mark.parametrize("fn", [confusion, auroc, report])
+    def test_rejected_and_named(self, fn, labels, first):
+        probs = np.linspace(0.2, 0.9, len(labels))
+        with pytest.raises(ValidationError, match=rf"^label {first} is not 0 or 1$"):
+            fn(probs, np.array(labels))
+
+    def test_boolean_mask_counts_as_labels(self):
+        scores = np.array([0.9, 0.2, 0.7, 0.4])
+        mask = np.array([True, False, False, True])
+        assert confusion(scores, mask) == confusion(scores, mask.astype(int)) == (1, 1, 1, 1)
+        assert auroc(scores, mask) == auroc(scores, mask.astype(int)) == 0.75
+
+    def test_float_zero_one_labels_accepted(self):
+        assert report([0.9, 0.2], np.array([1.0, 0.0])) == report([0.9, 0.2], [1, 0])
+
+
 class TestRates:
     def test_all_correct(self):
         assert rates(5, 0, 5, 0) == (1.0, 1.0, 1.0, 1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eegfs.autodiff import (
-    Tape, Tensor, ValidationError, backward, mean_over_axes, mul, sum_over_axes,
+    BN_EPS, Tape, Tensor, ValidationError, backward, mean_over_axes, mul, sum_over_axes,
 )
 from eegfs.bank import GradientBank
 from eegfs.selection import (
@@ -92,7 +92,7 @@ class TestHeatMap:
                     pre[i, c, r] = alpha[c] * h[i, c, r]
         mu = pre.mean(axis=(0, 2), keepdims=True)
         var = pre.var(axis=(0, 2), keepdims=True)
-        assert np.abs(got - (pre - mu) / np.sqrt(var + fs.bn_eps)).max() < 1e-12
+        assert np.abs(got - (pre - mu) / np.sqrt(var + BN_EPS)).max() < 1e-12
 
 
 class TestProbability:
@@ -216,7 +216,7 @@ class TestFsForward:
         h = rng.standard_normal((2, 4, 6))
         out = fs_forward(Tensor(h), sel.bank, sel, "train")
         alpha = sel.alpha
-        want, lam_want = fs_scalar_reference(h, alpha, kind, sel.bn_eps)
+        want, lam_want = fs_scalar_reference(h, alpha, kind, BN_EPS)
         assert np.abs(out.data - want).max() < 1e-12
         assert np.abs(sel.last_lambda - lam_want).max() < 1e-12
 

@@ -107,11 +107,34 @@ class TestAdam:
         assert not np.array_equal(params["a"].data, np.ones(3))
 
 
+# the settings that are constants now, at the values older checkpoints store
+_RETIRED_SETTINGS = {"config/adam_beta1": 0.9, "config/adam_beta2": 0.999,
+                     "config/adam_eps": 1e-8, "config/enc.bn_eps": 1e-5,
+                     "config/enc.bn_momentum": 0.1}
+
+
+def _check_older_file(ckpt, tiny_splits, tmp_path, extra):
+    """A file holding ``ckpt``'s tensors plus the ``extra`` ones that older
+    versions wrote restores, evaluates and resumes exactly as ``ckpt``."""
+    tr, va, te = tiny_splits
+    p = tmp_path / "old.bin"
+    save(Checkpoint({**ckpt.tensors, **extra}), p)
+    old = load(p)
+    assert extra.keys() <= old.tensors.keys()
+    assert old.config() == ckpt.config()
+    for name, param in restore_model(old)[1].params.items():
+        np.testing.assert_array_equal(param.data, ckpt.tensors[f"param/{name}"])
+    assert evaluate(old, te) == evaluate(ckpt, te)
+    cfg = replace(ckpt.config(), epochs=2)
+    got, want = train(cfg, tr, va, resume=old), train(cfg, tr, va, resume=ckpt)
+    assert got.final.tensors.keys() == want.final.tensors.keys()
+    for name, arr in want.final.tensors.items():
+        np.testing.assert_array_equal(got.final.tensors[name], arr)
+    assert got.log == want.log
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize("field, value", [
-        ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0), ("adam_beta2", -1.0),
-        ("adam_eps", 0.0), ("adam_eps", math.nan), ("adam_eps", math.inf),
-        ("lr", math.nan), ("weight_decay", math.nan)])
+    @pytest.mark.parametrize("field, value", [("lr", math.nan), ("weight_decay", math.nan)])
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             _tiny_config(**{field: value}).validate()
@@ -125,7 +148,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value, kind", [
         ("fs_enabled", "no", "a bool"), ("fs_enabled", 1, "a bool"),
         ("lr", "x", "a real number"), ("momentum", None, "a real number"),
-        ("decay", True, "a real number")])
+        ("decay", True, "a real number"), ("encoder", "x", "an EncoderConfig"),
+        ("encoder", None, "an EncoderConfig")])
     def test_value_of_wrong_type_rejected(self, field, value, kind):
         with pytest.raises(ValidationError, match=f"{field} must be {kind}, got {value!r}"):
             _tiny_config(**{field: value}).validate()
@@ -580,10 +604,8 @@ class TestCheckpointIO:
     def test_every_config_field_round_trips(self, tiny_splits, tmp_path):
         tr, va, _ = tiny_splits
         enc = EncoderConfig(in_channels=4, clip_len=80, blocks=((4, 5, 1, 2), (6, 3, 1, 1)),
-                            insertion_layer=1, activation="sigmoid",
-                            bn_eps=2e-5, bn_momentum=0.2)
-        cfg = TrainConfig(epochs=1, batch_size=16, lr=3e-4, weight_decay=2e-4,
-                          adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-7, seed=11,
+                            insertion_layer=1, activation="sigmoid")
+        cfg = TrainConfig(epochs=1, batch_size=16, lr=3e-4, weight_decay=2e-4, seed=11,
                           bank_size=3, top_k=2, momentum=0.35, decay=0.5,
                           fs_enabled=False, encoder=enc)
         for obj in (cfg, enc):
@@ -592,10 +614,9 @@ class TestCheckpointIO:
                     assert getattr(obj, f.name) != f.default, f.name
         ckpt = train(cfg, tr, va).final
         assert sorted(n for n in ckpt.tensors if n.startswith("config/")) == [
-            "config/adam_beta1", "config/adam_beta2", "config/adam_eps",
             "config/bank_size", "config/batch_size", "config/decay",
-            "config/enc.activation", "config/enc.blocks", "config/enc.bn_eps",
-            "config/enc.bn_momentum", "config/enc.clip_len", "config/enc.in_channels",
+            "config/enc.activation", "config/enc.blocks",
+            "config/enc.clip_len", "config/enc.in_channels",
             "config/enc.insertion_layer", "config/epochs",
             "config/fs_enabled", "config/lr", "config/momentum", "config/seed",
             "config/top_k", "config/weight_decay"]
@@ -697,20 +718,23 @@ class TestCheckpointIO:
     def test_file_with_num_classes_restores_evaluates_and_resumes(self, one_epoch,
                                                                   tiny_splits, tmp_path):
         # older files also stored the head width as "config/enc.num_classes"
+        _check_older_file(one_epoch, tiny_splits, tmp_path,
+                          {"config/enc.num_classes": np.asarray(2.0)})
+
+    def test_file_with_retired_settings_restores_evaluates_and_resumes(self, one_epoch,
+                                                                       tiny_splits, tmp_path):
+        _check_older_file(one_epoch, tiny_splits, tmp_path,
+                          {name: np.asarray(v) for name, v in _RETIRED_SETTINGS.items()})
+
+    @pytest.mark.parametrize("name", sorted(_RETIRED_SETTINGS))
+    def test_retired_setting_of_another_value_rejected(self, one_epoch, tiny_splits, name):
         tr, va, te = tiny_splits
-        p = tmp_path / "old.bin"
-        save(Checkpoint({**one_epoch.tensors, "config/enc.num_classes": np.asarray(2.0)}), p)
-        old = load(p)
-        assert old.config() == one_epoch.config()
-        for name, param in restore_model(old)[1].params.items():
-            np.testing.assert_array_equal(param.data, one_epoch.tensors[f"param/{name}"])
-        assert evaluate(old, te) == evaluate(one_epoch, te)
+        ckpt = Checkpoint({**one_epoch.tensors, name: np.asarray(0.8)})
         cfg = replace(one_epoch.config(), epochs=2)
-        got, want = train(cfg, tr, va, resume=old), train(cfg, tr, va, resume=one_epoch)
-        assert got.final.tensors.keys() == want.final.tensors.keys()
-        for name, arr in want.final.tensors.items():
-            np.testing.assert_array_equal(got.final.tensors[name], arr)
-        assert got.log == want.log
+        for fn in (restore_model, lambda c: evaluate(c, te),
+                   lambda c: train(cfg, tr, va, resume=c)):
+            with pytest.raises(ValidationError, match=f"'{name}' holds 0.8"):
+                fn(ckpt)
 
     def test_three_class_head_rejected(self, one_epoch, tiny_splits):
         width = one_epoch.tensors["param/head.w"].shape[0]
@@ -749,7 +773,8 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize("name, field, error", [
         ("config/enc.bn_momentum", "bn_momentum", ValidationError),
-        ("config/adam_beta2", "adam_beta2", ValidationError)])
+        ("config/adam_beta2", "adam_beta2", ValidationError),
+        ("config/momentum", "momentum", ValidationError)])
     def test_out_of_range_setting_rejected(self, one_epoch, name, field, error):
         with pytest.raises(error, match=field):
             restore_model(Checkpoint({**one_epoch.tensors, name: np.asarray(5.0)}))

@@ -77,18 +77,23 @@ def check_integer(name: str, value, minimum: Optional[int] = None) -> None:
         raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def is_real(value) -> bool:
+    """An int, a float or a numpy scalar of either, but not a bool."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float, np.integer, np.floating))
+
+
 def check_field_types(config) -> None:
     """Raise ValidationError naming the first field of a config dataclass
     whose value does not have the type of the field's default: an int
-    field takes an integer, a float field a real number (an int, a float
-    or a numpy scalar of either, but not a bool), a bool field a bool and
-    a str field a str. Other fields are left to the caller."""
+    field takes an integer, a float field a value ``is_real`` accepts, a
+    bool field a bool and a str field a str. Other fields are left to the
+    caller."""
     for f in fields(config):
         kind, value = type(f.default), getattr(config, f.name)
         if kind is int:
             check_integer(f.name, value)
-        elif kind is float and (isinstance(value, bool) or not isinstance(
-                value, (int, float, np.integer, np.floating))):
+        elif kind is float and not is_real(value):
             raise ValidationError(f"{f.name} must be a real number, got {value!r}")
         elif kind in (bool, str) and not isinstance(value, kind):
             raise ValidationError(f"{f.name} must be a {kind.__name__}, got {value!r}")

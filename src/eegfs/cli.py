@@ -8,9 +8,10 @@ directory is created once its input checks pass and receives a
 splits the corpus once, then runs the ``train`` path per grid cell; its
 ``summary.csv`` has the ``GRID_KEYS`` columns, then
 ``val_acc,val_f1,val_auroc``.
-The schema's keys, parsers and defaults derive from the fields of
-``CorpusSpec``, ``TrainConfig`` and ``EncoderConfig``; ``_KEYS`` lists
-the fields whose key differs from the field name.
+The schema's keys, parsers and defaults derive from ``training.settings``
+of ``CorpusSpec`` and ``TrainConfig``, whose names a checkpoint's
+``config/`` tensors share: a setting's key is its name after the last
+dot, unless ``_KEYS`` gives it an alias.
 
 Exit codes: 0 success, 2 invalid input (a ``ValidationError``, whose
 subclass ``ParseError`` marks a corrupt file, or an ``OSError`` on a path),
@@ -23,7 +24,6 @@ import argparse
 import itertools
 import sys
 import traceback
-from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +31,6 @@ import numpy as np
 
 from .autodiff import Tensor, ValidationError
 from .data import CorpusSpec, Dataset, generate, read, split, write
-from .encoder import EncoderConfig
 from .selection import export_attribution, write_attribution_csv
 from .training import (
     DivergenceError,
@@ -39,11 +38,13 @@ from .training import (
     TrainConfig,
     check_dataset_shape,
     check_train_inputs,
+    config_from,
     format_metric,
     load,
     predict,
     restore_model,
     save,
+    settings,
     train,
     write_metrics_csv,
 )
@@ -78,24 +79,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# Dataclass field -> CLI key, where the two differ. Fields are named
-# "corpus.<f>" (CorpusSpec), "enc.<f>" (EncoderConfig) or "<f>" (TrainConfig);
-# None keeps a field off the CLI.
+# Setting -> CLI key, where the key is an alias. Settings are named as
+# ``settings`` names them, a CorpusSpec's led by "corpus."; every other
+# setting's key is its name after the last dot.
 _KEYS = {
     "bank_size": "q", "top_k": "K", "momentum": "m", "decay": "gamma",
     "corpus.seed": "data_seed",
     "enc.in_channels": "channels", "enc.clip_len": "timestamps",
-    "encoder": None,
 }
-_SECTIONS = (("corpus.", CorpusSpec), ("", TrainConfig), ("enc.", EncoderConfig))
 
 
-def _field_keys(prefix: str, cls):
-    """(field, CLI key) for every field of ``cls`` the CLI sets."""
-    for f in fields(cls):
-        key = _KEYS.get(prefix + f.name, f.name)
-        if key is not None:
-            yield f, key
+def _key(name: str) -> str:
+    return _KEYS.get(name, name.rpartition(".")[2])
 
 
 def _parser(default):
@@ -115,10 +110,10 @@ def _schema() -> dict:
         "split_by_group": (_parse_bool, True),
         "split_seed": (int, 42),
     }
-    for prefix, cls in _SECTIONS:
-        for f, key in _field_keys(prefix, cls):
-            # a key shared by two fields takes the first field's default
-            schema.setdefault(key, (_parser(f.default), f.default))
+    for prefix, config in (("corpus.", CorpusSpec()), ("", TrainConfig())):
+        for name, default in settings(config).items():
+            # a key shared by two settings takes the first one's default
+            schema.setdefault(_key(prefix + name), (_parser(default), default))
     return schema
 
 
@@ -181,17 +176,12 @@ def write_resolved(values: dict, out_dir: Path) -> None:
     (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
 
 
-def _from(values: dict, prefix: str, cls, **nested):
-    """A config dataclass built from resolved values."""
-    return cls(**{f.name: values[key] for f, key in _field_keys(prefix, cls)}, **nested)
-
-
 def corpus_spec_from(values: dict) -> CorpusSpec:
-    return _from(values, "corpus.", CorpusSpec)
+    return config_from(CorpusSpec, lambda name, _: values[_key(name)], "corpus.")
 
 
 def train_config_from(values: dict) -> TrainConfig:
-    return _from(values, "", TrainConfig, encoder=_from(values, "enc.", EncoderConfig))
+    return config_from(TrainConfig, lambda name, _: values[_key(name)])
 
 
 def cmd_gen_data(args) -> int:
@@ -217,8 +207,8 @@ def _train_into(values: dict, parts: tuple[Dataset, Dataset, Dataset], out_dir: 
     inputs pass their checks; returns the final epoch's validation row."""
     config = train_config_from(values)
     tr, va, te = parts
-    check_train_inputs(config, tr, va)
     resume = load(resume_path) if resume_path else None
+    check_train_inputs(config, tr, va, resume)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved(values, out_dir)
 

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import ValidationError, check_field_types, check_integer
+from .autodiff import ValidationError, check_field_types, check_integer, is_real
 
 MAGIC = b"EEGS"
 FORMAT_VERSION = 1
@@ -332,10 +332,14 @@ def split(d: Dataset, ratios: tuple[float, float, float], by_group: bool,
           seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Partition into train/val/test; with ``by_group`` every group lands
     wholly in one part. Part sizes follow largest-remainder rounding."""
+    shaped = isinstance(ratios, (tuple, list)) or getattr(ratios, "ndim", 0) == 1
+    if not (shaped and len(ratios) == 3 and all(map(is_real, ratios))):
+        raise ValidationError(f"ratios {ratios!r} must be three real numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValidationError(f"ratios {ratios} must sum to 1")
     if not all(0.0 <= r <= 1.0 for r in ratios):
         raise ValidationError(f"ratios {ratios} must lie in [0, 1]")
+    check_integer("split seed", seed)
     if seed < 0:
         raise ValidationError(f"split seed must be >= 0, got {seed}")
 

@@ -148,12 +148,27 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 # Checkpoint container
 
 
-def _config_fields(cls, prefix: str):
-    """(field, checkpoint tensor name) for every stored field of a config
-    dataclass; the nested encoder config is stored under its own prefix."""
-    for f in fields(cls):
-        if f.name != "encoder":
-            yield f, prefix + f.name
+def settings(config) -> dict:
+    """Every setting of a ``CorpusSpec``, ``EncoderConfig`` or ``TrainConfig``
+    by the name a checkpoint stores it under after ``config/``: a field's own
+    name, and ``enc.<field>`` for a field of the nested encoder config."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "encoder":
+            out.update({"enc." + n: v for n, v in settings(value).items()})
+        else:
+            out[f.name] = value
+    return out
+
+
+def config_from(cls, value_of, prefix: str = ""):
+    """The ``cls`` whose every setting is ``value_of(prefix + name, default)``,
+    ``name`` as ``settings`` gives it; a ``TrainConfig`` gets its nested
+    ``EncoderConfig`` the same way."""
+    return cls(**{f.name: config_from(EncoderConfig, value_of, prefix + "enc.")
+                  if f.name == "encoder" else value_of(prefix + f.name, f.default)
+                  for f in fields(cls)})
 
 
 # Settings that are constants now; checkpoints written before they were
@@ -163,15 +178,10 @@ _FIXED_SETTINGS = {"config/adam_beta1": ADAM_BETA1, "config/adam_beta2": ADAM_BE
                    "config/enc.bn_momentum": ad.BN_MOMENTUM}
 
 
-def _encode(value) -> np.ndarray:
-    if isinstance(value, str):
-        value = ACTIVATIONS.index(value)
-    return np.asarray(value, dtype=np.float64)
-
-
 def _decode(default, arr: np.ndarray, name: str):
-    """Inverse of ``_encode``, picked by the type of the field's default.
-    A value that no such field can hold raises ValidationError."""
+    """The value stored as ``arr``, of the type of ``default``: an activation
+    is stored as its index in ``ACTIVATIONS``, anything else as float64. A
+    value that no field of that type can hold raises ValidationError."""
     blocks = isinstance(default, tuple)
     shape_ok = arr.ndim == 2 and arr.shape[1] == len(default[0]) if blocks else arr.size == 1
     integral = isinstance(default, float) or np.array_equal(arr, np.round(arr))
@@ -224,18 +234,8 @@ class Checkpoint:
                 stored = self.tensors[name].item()
                 raise ValidationError(f"checkpoint tensor {name!r} holds {stored}; "
                                       f"the setting is fixed at {fixed}")
-
-        def build(cls, prefix, **nested):
-            return cls(**{f.name: _decode(f.default, self.tensor(name), name)
-                          for f, name in _config_fields(cls, prefix)}, **nested)
-
-        return build(TrainConfig, "config/", encoder=build(EncoderConfig, "config/enc."))
-
-
-def _config_tensors(config: TrainConfig) -> dict[str, np.ndarray]:
-    return {name: _encode(getattr(obj, f.name))
-            for obj, prefix in ((config, "config/"), (config.encoder, "config/enc."))
-            for f, name in _config_fields(type(obj), prefix)}
+        return config_from(TrainConfig, lambda name, default: _decode(
+            default, self.tensor(name), name), "config/")
 
 
 def save(ckpt: Checkpoint, path) -> None:
@@ -274,6 +274,9 @@ def load(path) -> Checkpoint:
         tensors: dict[str, np.ndarray] = {}
         for i in range(count):
             name = r.name(f"tensor {i} name")
+            if name in tensors:
+                raise ParseError(r.offset - len(name.encode("utf-8")),
+                                 f"tensor {i} name {name!r} repeats an earlier tensor's")
             dtype, rank = r.unpack("<BB", f"{name} dtype/rank")
             if dtype != _DTYPE_F64:
                 raise ParseError(r.offset - 2, f"{name}: unknown dtype tag {dtype}")
@@ -305,7 +308,9 @@ def _model_arrays(enc: Encoder, sel: Optional[FeatureSelector]):
 def _build_checkpoint(config: TrainConfig, enc: Encoder,
                       sel: Optional[FeatureSelector], moments: AdamMoments,
                       epoch: int, iteration: int) -> Checkpoint:
-    tensors = _config_tensors(config)
+    tensors = {"config/" + name: np.asarray(
+        ACTIVATIONS.index(v) if isinstance(v, str) else v, dtype=np.float64)
+        for name, v in settings(config).items()}
     for name, holder, attr in _model_arrays(enc, sel):
         tensors[name] = getattr(holder, attr).copy()
     for name in enc.params:
@@ -375,14 +380,25 @@ def check_dataset_shape(encoder: EncoderConfig, ds: Dataset) -> None:
             f"match encoder ({encoder.in_channels}, {encoder.clip_len})")
 
 
-def check_train_inputs(config: TrainConfig, ds_train: Dataset, ds_val: Dataset) -> None:
-    """Every check ``train`` makes before it builds a model: a valid config
-    and non-empty train and validation sets whose clips fit the encoder."""
+def check_train_inputs(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
+                       resume: Optional[Checkpoint] = None) -> None:
+    """Every check ``train`` makes before it builds a model: a valid config,
+    non-empty train and validation sets whose clips fit the encoder, and a
+    ``resume`` checkpoint, if any, of the same configuration (the epoch
+    budget aside) that stopped short of ``config.epochs``."""
     config.validate()
     if not ds_train.clips or not ds_val.clips:
         raise ValidationError("train and validation datasets must be non-empty")
     check_dataset_shape(config.encoder, ds_train)
     check_dataset_shape(config.encoder, ds_val)
+    if resume is None:
+        return
+    if replace(resume.config(), epochs=0) != replace(config, epochs=0):
+        raise ValidationError("resume checkpoint configuration does not match the active one")
+    if resume.epoch >= config.epochs:
+        raise ValidationError(
+            f"checkpoint is already at epoch {resume.epoch}; nothing to resume "
+            f"within an epoch budget of {config.epochs}")
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -468,16 +484,13 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
     resume ``best``, ``best_epoch`` and ``alpha_trajectory_sha256`` cover
     only the resumed epochs.
     """
-    check_train_inputs(config, ds_train, ds_val)
+    check_train_inputs(config, ds_train, ds_val, resume)
     if resume is None:
         enc = Encoder(config.encoder, seed=config.seed)
         sel = _make_selector(config) if config.fs_enabled else None
         moments = AdamMoments.zeros_like(enc.params)
         start_epoch = iteration = 0
     else:
-        if replace(resume.config(), epochs=0) != replace(config, epochs=0):
-            raise ValidationError(
-                "resume checkpoint configuration does not match the active one")
         _, enc, sel = restore_model(resume)
         moments = AdamMoments(
             m={n: resume.tensor_like(f"adam/m/{n}", p.shape) for n, p in enc.params.items()},
@@ -485,10 +498,6 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
             t=resume.counter("adam/t"))
         start_epoch = resume.epoch
         iteration = resume.counter("state/iteration")
-        if start_epoch >= config.epochs:
-            raise ValidationError(
-                f"checkpoint is already at epoch {start_epoch}; nothing to resume "
-                f"within an epoch budget of {config.epochs}")
 
     log: list[EpochRow] = []
     traj = hashlib.sha256() if config.fs_enabled else None

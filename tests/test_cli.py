@@ -13,16 +13,27 @@ from eegfs.cli import (
     train_config_from,
     write_resolved,
 )
-from eegfs.data import CorpusSpec, read
+from eegfs.data import CorpusSpec, generate, read, split
 from eegfs.encoder import EncoderConfig
 from eegfs.selection import export_attribution
-from eegfs.training import TrainConfig, load, restore_model, save
+from eegfs.training import TrainConfig, load, restore_model, save, settings, train
 
 
 SMALL = [
     "n_clips=48", "channels=4", "timestamps=80", "n_groups=8", "data_seed=9",
     "epochs=2", "batch_size=8", "q=2", "blocks=4:5:1:2,4:3:1:2",
 ]
+
+
+# a valid value other than the default for every key a corpus or a run reads
+EVERY_KEY = [
+    "n_clips=30", "channels=4", "timestamps=80", "sample_rate=200",
+    "class_balance=0.4", "noise_sigma=0.5", "spike_amplitude=3",
+    "spike_width_ms_min=25", "spike_width_ms_max=50", "spike_channel_span=2",
+    "n_groups=6", "data_seed=9", "epochs=3", "batch_size=8", "lr=0.001",
+    "weight_decay=0.01", "seed=5", "q=3", "K=2", "m=0.5", "gamma=0.7",
+    "fs_enabled=false", "insertion_layer=1", "blocks=4:5:1:2,6:3:1:1",
+    "activation=sigmoid"]
 
 
 def _gen(tmp_path, extra=()):
@@ -79,14 +90,7 @@ class TestResolveConfig:
             "timestamps", "train_ratio", "val_ratio", "weight_decay"]
 
     def test_every_key_reaches_its_field(self):
-        values = resolve_config(None, [
-            "n_clips=30", "channels=4", "timestamps=80", "sample_rate=200",
-            "class_balance=0.4", "noise_sigma=0.5", "spike_amplitude=3",
-            "spike_width_ms_min=25", "spike_width_ms_max=50", "spike_channel_span=2",
-            "n_groups=6", "data_seed=9", "epochs=3", "batch_size=8", "lr=0.001",
-            "weight_decay=0.01", "seed=5", "q=3", "K=2", "m=0.5", "gamma=0.7",
-            "fs_enabled=false", "insertion_layer=1", "blocks=4:5:1:2,6:3:1:1",
-            "activation=sigmoid"])
+        values = resolve_config(None, EVERY_KEY)
         assert corpus_spec_from(values) == CorpusSpec(
             n_clips=30, channels=4, timestamps=80, sample_rate=200, class_balance=0.4,
             noise_sigma=0.5, spike_amplitude=3.0, spike_width_ms_min=25.0,
@@ -96,6 +100,32 @@ class TestResolveConfig:
             top_k=2, momentum=0.5, decay=0.7, fs_enabled=False, encoder=EncoderConfig(
                 in_channels=4, clip_len=80, blocks=((4, 5, 1, 2), (6, 3, 1, 1)),
                 insertion_layer=1, activation="sigmoid"))
+
+
+class TestCheckpointSettings:
+    """The CLI keys and a checkpoint's ``config/`` tensors name the same settings."""
+
+    def test_each_config_tensor_is_set_by_one_key(self, tmp_path):
+        values = resolve_config(None, EVERY_KEY)
+        config = train_config_from(values)
+        tr, va, _ = split(generate(corpus_spec_from(values)), (0.6, 0.2, 0.2),
+                          by_group=True, seed=0)
+        save(train(config, tr, va).final, tmp_path / "ck.bin")
+        ckpt = load(tmp_path / "ck.bin")
+        assert ckpt.config() == config
+
+        default = settings(train_config_from(resolve_config(None, [])))
+        names = {n[len("config/"):] for n in ckpt.tensors if n.startswith("config/")}
+        assert names == set(default)
+        assert {item.partition("=")[0] for item in EVERY_KEY} == set(cli.SCHEMA) - {
+            "train_ratio", "val_ratio", "test_ratio", "split_by_group", "split_seed"}
+        setters = {name: [] for name in names}
+        for item in EVERY_KEY:
+            one = settings(train_config_from(resolve_config(None, [item])))
+            for name in names:
+                if one[name] != default[name]:
+                    setters[name].append(item.partition("=")[0])
+        assert all(len(keys) == 1 for keys in setters.values()), setters
 
 
 class TestGenData:
@@ -509,6 +539,15 @@ def _retired_setting_in_checkpoint(tmp_path, data, ckpt):
             str(path)] + _sets(SMALL + ["epochs=3", "fs_enabled=false"])
 
 
+def _resume_other_bank_size(tmp_path, data, ckpt):
+    return _train_argv(tmp_path, data, "--no-fs", "--resume", str(ckpt)) + ["--set", "q=3"]
+
+
+def _resume_exhausted_budget(tmp_path, data, ckpt):
+    # the checkpoint is the 2-epoch run's, resumed at its own epochs=2
+    return _train_argv(tmp_path, data, "--no-fs", "--resume", str(ckpt))
+
+
 def _grid_empty(tmp_path, data, ckpt):
     return _ablate_argv(tmp_path, data, ";")
 
@@ -538,6 +577,12 @@ _BAD_SETTINGS = [
     (_retired_key_in_config_echo, "unknown key 'bn_eps'"),
     (_grid_empty, "empty grid")]
 
+# rejected once the resume checkpoint is read, before --out is created
+_BAD_RESUMES = [
+    (_retired_setting_in_checkpoint, "'config/adam_beta1' holds 0.8"),
+    (_resume_other_bank_size, "does not match the active one"),
+    (_resume_exhausted_budget, "already at epoch 2")]
+
 
 class TestInvalidInputExits2:
     @pytest.fixture(scope="class")
@@ -558,7 +603,7 @@ class TestInvalidInputExits2:
         (_attribution_without_selection, "no frozen channel weights"),
         (_zero_bank_without_selection, "bank_size 0"),
         (_ablate_missing_corpus, "nope.bin"),
-        (_retired_setting_in_checkpoint, "'config/adam_beta1' holds 0.8"),
+        *_BAD_RESUMES,
         *_BAD_SETTINGS])
     def test_one_error_line_and_no_traceback(self, tmp_path, capsys, nofs_run, case, expected):
         argv = case(tmp_path, *nofs_run)
@@ -575,5 +620,10 @@ class TestInvalidInputExits2:
 
     @pytest.mark.parametrize("case", [case for case, _ in _BAD_SETTINGS])
     def test_bad_setting_creates_no_out(self, tmp_path, nofs_run, case):
+        assert main(case(tmp_path, *nofs_run)) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", [case for case, _ in _BAD_RESUMES])
+    def test_bad_resume_creates_no_out(self, tmp_path, nofs_run, case):
         assert main(case(tmp_path, *nofs_run)) == 2
         assert not (tmp_path / "o").exists()

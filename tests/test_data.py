@@ -237,6 +237,27 @@ class TestSplit:
         with pytest.raises(ValidationError, match="split seed"):
             split(d, (0.5, 0.25, 0.25), by_group=True, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True])
+    def test_non_integer_seed_rejected(self, seed):
+        d = generate(_small_spec())
+        with pytest.raises(ValidationError, match="split seed must be an integer"):
+            split(d, (0.5, 0.25, 0.25), by_group=True, seed=seed)
+
+    @pytest.mark.parametrize("ratios", [("a", 0, 1), (0.5, 0.5, 0, 0), (0.5, 0.5),
+                                        (True, 0, 0), None, np.array(1.0)])
+    def test_ratios_not_three_reals_rejected(self, ratios):
+        d = generate(_small_spec())
+        with pytest.raises(ValidationError, match="must be three real numbers"):
+            split(d, ratios, by_group=False, seed=0)
+
+    def test_numpy_ratios_and_seed_split_as_python_numbers(self):
+        d = generate(_small_spec(n_clips=60, n_groups=12))
+        b = split(d, (0.6, 0.2, 0.2), by_group=True, seed=5)
+        for ratios in ((np.float64(0.6), np.float64(0.2), 0.2), np.array([0.6, 0.2, 0.2])):
+            a = split(d, ratios, by_group=True, seed=np.int64(5))
+            for pa, pb in zip(a, b):
+                assert pa.same_content(pb)
+
     @pytest.mark.parametrize("ratios", [(float("nan"), 0.5, 0.5), (0.6, 0.4, float("nan"))])
     def test_non_finite_ratios_rejected(self, ratios):
         d = generate(_small_spec())

@@ -679,6 +679,15 @@ class TestCheckpointIO:
             load(p)
         assert e.value.offset == 15
 
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        # a 10-byte file header, then two 17-byte records both named "a"
+        record = struct.pack("<H", 1) + b"a" + struct.pack("<BBI", 1, 1, 1) + bytes(8)
+        p = tmp_path / "ck.bin"
+        p.write_bytes(b"IEFS" + struct.pack("<HI", 1, 2) + record + record)
+        with pytest.raises(ParseError, match="tensor 1 name 'a' repeats") as e:
+            load(p)
+        assert e.value.offset == 10 + 17 + 2
+
     def test_truncated_file_rejected(self, tiny_splits, tmp_path):
         tr, va, _ = tiny_splits
         result = train(_tiny_config(epochs=1, batch_size=16), tr, va)

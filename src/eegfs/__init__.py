@@ -4,15 +4,15 @@ self-contained 1-D CNN pipeline for multichannel signal classification."""
 from .autodiff import (
     BatchNormState,
     DimensionError,
+    DivergenceError,
     Tape,
-    TapeUsageError,
     Tensor,
+    UsageError,
     ValidationError,
     backward,
 )
 from .bank import (
     GradientBank,
-    NonFiniteGradientError,
     SampledGradients,
     apply_decay,
     compute_alpha,
@@ -28,7 +28,6 @@ from .selection import (
 )
 from .training import (
     Checkpoint,
-    DivergenceError,
     TrainConfig,
     TrainResult,
     adam_step,

@@ -14,7 +14,7 @@ recorded, and its rule returns None, without computing it, for an input
 that is not live: block 0's ``conv1d`` skips the gradient of the raw
 clips, and the binary ops skip their constant side. A tensor must
 therefore be captured before any op consumes it; capturing it afterwards
-raises :class:`TapeUsageError`.
+raises :class:`UsageError`.
 
 Broadcasting is restricted to numpy-compatible shapes; gradients of
 broadcast operands are summed back to the operand's shape.
@@ -45,6 +45,12 @@ sweeps over one tape are reproducible.
 
 A tensor refers to the tape that registered it weakly, so a tape is freed
 as soon as its owner drops it, without waiting for the cyclic collector.
+
+Four of the package's failure kinds have their one class here:
+:class:`DimensionError` for operand shapes, :class:`ValidationError` for
+argument values, :class:`UsageError` for a call made out of order (a
+caller's bug) and :class:`DivergenceError` for a non-finite loss or
+gradient.
 """
 
 from __future__ import annotations
@@ -60,12 +66,21 @@ class DimensionError(ValueError):
     """Operand shapes do not satisfy an operation's contract."""
 
 
-class TapeUsageError(RuntimeError):
-    """Tape used outside its recording/backward protocol."""
+class UsageError(RuntimeError):
+    """A call made out of order, such as a tape used outside its recording
+    and backward protocol or a bank sampled out of turn: a caller's bug."""
 
 
 class ValidationError(ValueError):
     """Invalid argument value (labels, modes, hyperparameters)."""
+
+
+class DivergenceError(RuntimeError):
+    """A loss or a gradient became non-finite at ``iteration``."""
+
+    def __init__(self, iteration: int, value: float, what: str = "loss"):
+        super().__init__(f"non-finite {what} ({value}) at iteration {iteration}")
+        self.iteration = iteration
 
 
 def check_integer(name: str, value, minimum: Optional[int] = None) -> None:
@@ -179,9 +194,9 @@ class Tape:
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
         if self._entered:
-            raise TapeUsageError("a tape cannot be reopened for recording")
+            raise UsageError("a tape cannot be reopened for recording")
         if _ACTIVE_TAPE is not None:
-            raise TapeUsageError("another tape is already recording")
+            raise UsageError("another tape is already recording")
         self._entered = True
         _ACTIVE_TAPE = self
         return self
@@ -205,13 +220,13 @@ class Tape:
     def capture(self, t: Tensor) -> None:
         """Mark ``t`` live so backward computes and retains its gradient.
 
-        Raises TapeUsageError when a recorded op has already consumed ``t``
+        Raises UsageError when a recorded op has already consumed ``t``
         while it was not live: that op computed no gradient for it.
         """
         if (t.tape is self and t.node_id not in self._live
                 and any(t.node_id in in_ids for _, in_ids, _ in self._records)):
-            raise TapeUsageError("capture after use: a recorded op already consumed "
-                                 "this tensor without computing its gradient")
+            raise UsageError("capture after use: a recorded op already consumed "
+                             "this tensor without computing its gradient")
         node_id = self.register(t)
         self._live.add(node_id)
         self._tensors[node_id] = t
@@ -255,20 +270,19 @@ def backward(loss: Tensor, tape: Tape) -> None:
     Populates ``.grad`` on every ``requires_grad`` tensor (zeros when the
     loss does not depend on it) and on every captured node. Only live
     nodes get a gradient (see the module docstring). A node's first
-    contribution is stored as returned, without a copy; the second builds
-    a new sum and later ones add into it, so no array a rule returned is
-    ever written to. Grads are fresh arrays each call, so repeated sweeps
-    are reproducible, and no two ``.grad`` arrays share memory.
+    contribution is stored as returned, without a copy; each later one
+    builds a new sum, so no array a rule returned is ever written to.
+    Grads are fresh arrays each call, so repeated sweeps are reproducible,
+    and no two ``.grad`` arrays share memory.
     """
     if tape.recording:
-        raise TapeUsageError("backward on an open tape; close it first")
+        raise UsageError("backward on an open tape; close it first")
     if loss.data.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.tape is not tape or loss.node_id is None:
-        raise TapeUsageError("loss was not produced under this tape")
+        raise UsageError("loss was not produced under this tape")
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    summed: set[int] = set()  # nodes whose gradient buffer backward allocated
     for out_id, in_ids, rule in reversed(tape._records):
         # all consumers of out_id have run: its gradient is complete
         g_out = grads.get(out_id) if out_id in tape._tensors else grads.pop(out_id, None)
@@ -277,14 +291,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
         for node_id, contrib in zip(in_ids, rule(g_out)):
             if contrib is None or node_id not in tape._live:
                 continue
-            acc = grads.get(node_id)
-            if acc is None:
-                grads[node_id] = np.asarray(contrib, dtype=np.float64)
-            elif node_id in summed:
-                acc += contrib
-            else:  # asarray: a sum of 0-d gradients comes back as a numpy scalar
-                grads[node_id] = np.asarray(acc + contrib)
-                summed.add(node_id)
+            acc = grads.get(node_id)  # asarray: a sum of 0-d arrays is a numpy scalar
+            grads[node_id] = np.asarray(contrib if acc is None else acc + contrib,
+                                        dtype=np.float64)
 
     handed_out: set[int] = set()  # ids of the buffers behind the grads set so far
     for node_id, t in tape._tensors.items():

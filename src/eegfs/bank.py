@@ -19,7 +19,10 @@ that identical rows score identically wherever they sit in the pool,
 and ties go to the lower (iteration, sample index). No row is copied
 into a pool array; only the candidates and the selected rows are
 gathered. ``push`` is the one way in: the bank keeps the array it is
-handed, read-only; ``restore`` pushes each entry.
+handed, read-only; ``restore`` pushes each entry. A gradient with a
+non-finite squared norm raises ``DivergenceError``; a call out of turn
+(an iteration not after the newest, sampling before two entries, a second
+decay, a blend of undecayed gradients) raises ``UsageError``.
 """
 
 from __future__ import annotations
@@ -29,27 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import DimensionError, ValidationError, check_integer
-
-
-class BankUsageError(RuntimeError):
-    """Bank operation called outside its protocol (ordering, double decay)."""
-
-
-class WarmupError(BankUsageError):
-    """Sampling requested before the bank holds enough entries."""
-
-
-class NonFiniteGradientError(ValidationError):
-    """Gradients pushed into the bank hold NaN or infinite values, or values
-    so large that their squared norm overflows; carries the iteration."""
-
-    def __init__(self, iteration: int, sq_norm: float):
-        super().__init__(
-            f"push: gradients of iteration {iteration} have a non-finite "
-            f"squared norm ({sq_norm})")
-        self.iteration = iteration
-        self.sq_norm = sq_norm
+from .autodiff import DimensionError, DivergenceError, UsageError, ValidationError, check_integer
 
 
 _NORM_FLOOR = 1e-12  # rows and anchors with a smaller norm score 0
@@ -86,8 +69,8 @@ class GradientBank:
                  channels: int, spatial: int):
         check_integer("bank capacity", capacity, minimum=1)
         check_integer("top_k", top_k, minimum=1)
-        if not 0.0 <= decay <= 1.0:
-            raise ValidationError(f"decay must lie in [0, 1], got {decay}")
+        if not 0.0 < decay <= 1.0:
+            raise ValidationError(f"decay must lie in (0, 1], got {decay}")
         self.capacity = capacity
         self.top_k = top_k
         self.decay = decay
@@ -107,9 +90,10 @@ class GradientBank:
         without a copy and made read-only: the caller hands it over. Its
         flattened row norms are measured here, once, for sampling to read.
 
-        Raises NonFiniteGradientError, and leaves the bank unchanged, when
-        any gradient value is NaN or infinite, or so large that the squared
-        norm overflows: sampling could not rank it.
+        Raises DivergenceError, and leaves the bank unchanged, when any
+        gradient value is NaN or infinite, or so large that the squared norm
+        overflows: sampling could not rank it. Raises UsageError when
+        ``iteration`` is not after the newest entry's.
         """
         grads = np.asarray(grads, dtype=np.float64)
         if grads.ndim != 3 or grads.shape[1:] != (self.channels, self.spatial):
@@ -117,14 +101,14 @@ class GradientBank:
                 f"push: gradients shape {grads.shape} does not match "
                 f"(b, {self.channels}, {self.spatial})")
         if self.entries and iteration <= self.entries[-1][0]:
-            raise BankUsageError(
+            raise UsageError(
                 f"push: iteration {iteration} not after {self.entries[-1][0]}")
         rows = grads.reshape(grads.shape[0], self.channels * self.spatial)
         with np.errstate(over="ignore"):  # an overflow is reported below
             sq_norms = np.einsum("ij,ij->i", rows, rows)
             sq_norm = float(sq_norms.sum())  # NaN or inf anywhere makes this non-finite
         if not np.isfinite(sq_norm):
-            raise NonFiniteGradientError(iteration, sq_norm)
+            raise DivergenceError(iteration, sq_norm, "captured-gradient squared norm")
         grads.flags.writeable = False  # held entries are shared, never written
         self.entries.append((iteration, grads))
         self._row_norms.append(np.sqrt(sq_norms))
@@ -146,7 +130,7 @@ class GradientBank:
         output is ordered by anchor, then by rank.
         """
         if len(self.entries) < 2:
-            raise WarmupError("sampling needs the newest entry plus at least one older one")
+            raise UsageError("sampling needs the newest entry plus at least one older one")
         *older, (newest_iter, anchors) = self.entries
         *pool_norms, anchor_norms = self._row_norms
         sizes = [g.shape[0] for _, g in older]
@@ -219,7 +203,7 @@ class GradientBank:
 def apply_decay(s: SampledGradients, decay: float) -> SampledGradients:
     """Scale each gradient by decay**age (the newest batch has age 1)."""
     if s.decayed:
-        raise BankUsageError("decay already applied to this sample set")
+        raise UsageError("decay already applied to this sample set")
     factors = np.power(float(decay), s.ages.astype(np.float64))
     return SampledGradients(
         recent=s.recent * decay,
@@ -237,7 +221,7 @@ def compute_alpha(s: SampledGradients, m: float) -> np.ndarray:
     per-channel (C,) vector; ``m`` weights the historical side.
     """
     if not s.decayed:
-        raise BankUsageError("compute_alpha requires decayed gradients")
+        raise UsageError("compute_alpha requires decayed gradients")
     if not 0.0 <= m <= 1.0:
         raise ValidationError(f"momentum m must lie in [0, 1], got {m}")
     avg_sampled = s.sampled.mean(axis=(0, 2))

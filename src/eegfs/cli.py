@@ -15,7 +15,9 @@ dot, unless ``_KEYS`` gives it an alias.
 
 Exit codes: 0 success, 2 invalid input (a ``ValidationError``, whose
 subclass ``ParseError`` marks a corrupt file, or an ``OSError`` on a path),
-3 numeric divergence; an ablation sweep with failed cells exits 1.
+3 numeric divergence (a ``DivergenceError``); an ablation sweep with
+failed cells exits 1. Any other exception, a ``UsageError`` among them,
+is a bug and prints a traceback.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, ValidationError
+from .autodiff import DivergenceError, Tensor, ValidationError
 from .data import CorpusSpec, Dataset, generate, read, split, write
 from .selection import export_attribution, write_attribution_csv
 from .training import (
-    DivergenceError,
     EpochRow,
     TrainConfig,
     check_dataset_shape,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ValidationError, check_field_types, check_integer
-from .bank import BankUsageError, GradientBank, NonFiniteGradientError
+from .bank import GradientBank
 from .data import BinaryReader, Dataset, ParseError, pack
 from .encoder import ACTIVATIONS, Encoder, EncoderConfig
 from .metrics import MetricsReport, report
@@ -30,15 +30,6 @@ CHECKPOINT_MAGIC = b"IEFS"
 CHECKPOINT_VERSION = 1
 _DTYPE_F64 = 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba 2015
-
-
-class DivergenceError(RuntimeError):
-    """Loss or captured gradient became non-finite; carries the failing
-    iteration index."""
-
-    def __init__(self, iteration: int, value: float, what: str = "loss"):
-        super().__init__(f"non-finite {what} ({value}) at iteration {iteration}")
-        self.iteration = iteration
 
 
 @dataclass(frozen=True)
@@ -217,8 +208,10 @@ class Checkpoint:
         return arr.copy()
 
     def counter(self, name: str) -> int:
-        """An integer counter; a non-integral value raises ValidationError."""
-        return _decode(0, self.tensor(name), name)
+        """A counter; a value that is not a non-negative integer raises ValidationError."""
+        value = _decode(0, self.tensor(name), name)
+        check_integer(f"checkpoint tensor {name!r}", value, minimum=0)
+        return value
 
     @property
     def epoch(self) -> int:
@@ -361,7 +354,7 @@ def restore_model(ckpt: Checkpoint) -> tuple[TrainConfig, Encoder, Optional[Feat
                    for i in range(count)]
         try:
             sel.bank.restore(entries)
-        except (ad.DimensionError, BankUsageError) as e:
+        except (ad.DimensionError, ad.DivergenceError, ad.UsageError) as e:
             raise ValidationError(f"checkpoint bank rejected: {e}") from None
         if ckpt.frozen_alpha is not None:
             sel.alpha = ckpt.tensor_like("alpha/frozen", sel.bn.mean.shape)
@@ -385,7 +378,9 @@ def check_train_inputs(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
     """Every check ``train`` makes before it builds a model: a valid config,
     non-empty train and validation sets whose clips fit the encoder, and a
     ``resume`` checkpoint, if any, of the same configuration (the epoch
-    budget aside) that stopped short of ``config.epochs``."""
+    budget aside) that stopped short of ``config.epochs``, with counters
+    that are non-negative integers and an iteration no older than its
+    newest bank entry's."""
     config.validate()
     if not ds_train.clips or not ds_val.clips:
         raise ValidationError("train and validation datasets must be non-empty")
@@ -399,6 +394,13 @@ def check_train_inputs(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
         raise ValidationError(
             f"checkpoint is already at epoch {resume.epoch}; nothing to resume "
             f"within an epoch budget of {config.epochs}")
+    resume.counter("adam/t")
+    iteration = resume.counter("state/iteration")
+    newest = max((resume.counter(n) for n in resume.tensors
+                  if n.startswith("bank/") and n.endswith("/iter")), default=0)
+    if iteration < newest:
+        raise ValidationError(f"checkpoint tensor 'state/iteration' holds {iteration}, "
+                              f"before its newest bank entry's iteration {newest}")
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -456,14 +458,11 @@ def _train_step(config: TrainConfig, enc: Encoder, sel: Optional[FeatureSelector
         loss = ad.cross_entropy_logits(logits, y)
     loss_val = loss.item()
     if not np.isfinite(loss_val):
-        raise DivergenceError(iteration, loss_val)
+        raise ad.DivergenceError(iteration, loss_val)
     ad.backward(loss, tape)
     if sel is not None:
-        try:  # the bank takes over the captured gradient, which nothing else reads
-            sel.bank.push(iteration, h_l.grad)
-        except NonFiniteGradientError as e:
-            raise DivergenceError(iteration, e.sq_norm,
-                                  "captured-gradient squared norm") from e
+        # the bank takes over the captured gradient, which nothing else reads
+        sel.bank.push(iteration, h_l.grad)
         if sel.alpha is not None:
             traj.update(sel.alpha.tobytes())
     adam_step(enc.params, {k: p.grad for k, p in enc.params.items()}, moments, config)

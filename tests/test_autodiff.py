@@ -11,8 +11,8 @@ from eegfs.autodiff import (
     BatchNormState,
     DimensionError,
     Tape,
-    TapeUsageError,
     Tensor,
+    UsageError,
     ValidationError,
     add,
     avg_pool1d,
@@ -392,7 +392,7 @@ class TestBackward:
         tape = Tape()
         with tape:
             loss = sum_over_axes(x, (0,))
-            with pytest.raises(TapeUsageError):
+            with pytest.raises(UsageError):
                 backward(loss, tape)
 
     def test_two_backward_passes_identical(self):
@@ -446,7 +446,7 @@ class TestBackward:
         tape = Tape()
         with tape:
             prod = mul(c, w)
-            with pytest.raises(TapeUsageError, match="capture after use"):
+            with pytest.raises(UsageError, match="capture after use"):
                 tape.capture(c)
             tape.capture(prod)  # produced but not yet consumed: still allowed
 

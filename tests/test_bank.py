@@ -4,15 +4,8 @@
 import numpy as np
 import pytest
 
-from eegfs.autodiff import DimensionError, ValidationError
-from eegfs.bank import (
-    BankUsageError,
-    GradientBank,
-    NonFiniteGradientError,
-    WarmupError,
-    apply_decay,
-    compute_alpha,
-)
+from eegfs.autodiff import DimensionError, DivergenceError, UsageError, ValidationError
+from eegfs.bank import GradientBank, apply_decay, compute_alpha
 from _oracles import cosine_sim, top_k_sort_all
 
 
@@ -32,6 +25,13 @@ def test_non_integer_size_rejected(arg):
         _bank(**sizes)
 
 
+@pytest.mark.parametrize("decay", [0.0, -0.1, 1.5])
+def test_decay_outside_half_open_unit_interval_rejected(decay):
+    # TrainConfig.validate's rule: a decay of 0 would zero every channel weight
+    with pytest.raises(ValidationError, match="decay"):
+        _bank(decay=decay)
+
+
 class TestPush:
     def test_fifo_keeps_most_recent(self):
         rng = np.random.default_rng(0)
@@ -49,7 +49,7 @@ class TestPush:
         rng = np.random.default_rng(1)
         bank = _bank()
         bank.push(3, _rand_entry(rng))
-        with pytest.raises(BankUsageError):
+        with pytest.raises(UsageError):
             bank.push(3, _rand_entry(rng))
 
     def test_fifo_matches_list_model(self):
@@ -73,7 +73,7 @@ class TestPush:
         for bad in (np.nan, np.inf, -np.inf):
             g = _rand_entry(rng)
             g[1, 0, 2] = bad
-            with pytest.raises(NonFiniteGradientError) as e:
+            with pytest.raises(DivergenceError) as e:
                 bank.push(2, g)
             assert e.value.iteration == 2
             assert [it for it, _ in bank.entries] == [it for it, _ in held]
@@ -87,7 +87,7 @@ class TestPush:
         bank = _bank()
         first = _rand_entry(rng)
         bank.push(1, first)
-        with pytest.raises(NonFiniteGradientError) as e:
+        with pytest.raises(DivergenceError) as e:
             bank.push(2, np.full((2, 2, 3), value))
         assert e.value.iteration == 2
         assert len(bank.entries) == 1 and bank.entries[0][1] is first
@@ -109,8 +109,8 @@ class TestPush:
         bad_value[0, 1, 2] = np.nan
         for entries, error in (
                 ([(1, np.zeros((2, 5, 3)))], DimensionError),
-                ([(3, _rand_entry(rng)), (3, _rand_entry(rng))], BankUsageError),
-                ([(1, _rand_entry(rng)), (2, bad_value)], NonFiniteGradientError)):
+                ([(3, _rand_entry(rng)), (3, _rand_entry(rng))], UsageError),
+                ([(1, _rand_entry(rng)), (2, bad_value)], DivergenceError)):
             with pytest.raises(error):
                 _bank().restore(entries)
 
@@ -151,7 +151,7 @@ class TestSampleTopK:
         rng = np.random.default_rng(5)
         bank = _bank()
         bank.push(1, _rand_entry(rng))
-        with pytest.raises(WarmupError):
+        with pytest.raises(UsageError):
             bank.sample_top_k()
 
     def test_exhaustive_k_selects_everything(self):
@@ -262,7 +262,7 @@ class TestApplyDecay:
     def test_double_decay_rejected(self):
         rng = np.random.default_rng(15)
         d = apply_decay(SampledFactory(rng, ages=[2]), 0.5)
-        with pytest.raises(BankUsageError):
+        with pytest.raises(UsageError):
             apply_decay(d, 0.5)
 
     def test_zero_rows_stay_zero(self):
@@ -322,7 +322,7 @@ class TestComputeAlpha:
 
     def test_requires_decay(self):
         rng = np.random.default_rng(21)
-        with pytest.raises(BankUsageError):
+        with pytest.raises(UsageError):
             compute_alpha(SampledFactory(rng, ages=[2]), 0.5)
 
 

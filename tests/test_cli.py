@@ -548,6 +548,14 @@ def _resume_exhausted_budget(tmp_path, data, ckpt):
     return _train_argv(tmp_path, data, "--no-fs", "--resume", str(ckpt))
 
 
+def _resume_negative_epoch(tmp_path, data, ckpt):
+    old = load(ckpt)
+    old.tensors["state/epoch"] = np.asarray(-3.0)
+    path = tmp_path / "old.bin"
+    save(old, path)
+    return _train_argv(tmp_path, data, "--no-fs", "--resume", str(path)) + ["--set", "epochs=3"]
+
+
 def _grid_empty(tmp_path, data, ckpt):
     return _ablate_argv(tmp_path, data, ";")
 
@@ -581,7 +589,8 @@ _BAD_SETTINGS = [
 _BAD_RESUMES = [
     (_retired_setting_in_checkpoint, "'config/adam_beta1' holds 0.8"),
     (_resume_other_bank_size, "does not match the active one"),
-    (_resume_exhausted_budget, "already at epoch 2")]
+    (_resume_exhausted_budget, "already at epoch 2"),
+    (_resume_negative_epoch, "'state/epoch' must be an integer >= 0")]
 
 
 class TestInvalidInputExits2:

@@ -11,14 +11,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from eegfs.bank import GradientBank, NonFiniteGradientError
+from eegfs.bank import GradientBank
 from eegfs.data import CorpusSpec, ParseError, generate, split
 from eegfs.encoder import Encoder, EncoderConfig
 from eegfs.selection import FeatureSelector
 from eegfs.training import (
     AdamMoments,
     Checkpoint,
-    DivergenceError,
     TrainConfig,
     adam_step,
     adam_update,
@@ -32,7 +31,14 @@ from eegfs.training import (
 )
 from eegfs import autodiff as ad
 from eegfs import training
-from eegfs.autodiff import Tape, Tensor, ValidationError, backward, cross_entropy_logits
+from eegfs.autodiff import (
+    DivergenceError,
+    Tape,
+    Tensor,
+    ValidationError,
+    backward,
+    cross_entropy_logits,
+)
 from eegfs.metrics import report
 from _oracles import adam_scalar_reference
 
@@ -269,7 +275,7 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError, match="gradient") as e:
             train(_tiny_config(), tr, va)
         assert e.value.iteration == 1
-        assert isinstance(e.value.__cause__, NonFiniteGradientError)
+        assert "captured-gradient squared norm (nan)" in str(e.value)
 
 
 def _model_with_full_bank(cfg):
@@ -780,6 +786,18 @@ class TestCheckpointIO:
         with pytest.raises(ValidationError, match="bank/0001/iter"):
             restore_model(Checkpoint({**one_epoch.tensors, "bank/0001/iter": np.asarray(np.nan)}))
 
+    def test_non_finite_bank_gradient_rejected(self, one_epoch, tiny_splits):
+        # the bank raises DivergenceError for it; from a checkpoint it is invalid input
+        tr, va, te = tiny_splits
+        grads = one_epoch.tensors["bank/0001/grads"].copy()
+        grads[0, 0, 0] = np.nan
+        ckpt = Checkpoint({**one_epoch.tensors, "bank/0001/grads": grads})
+        cfg = replace(one_epoch.config(), epochs=2)
+        for fn in (restore_model, lambda c: evaluate(c, te),
+                   lambda c: train(cfg, tr, va, resume=c)):
+            with pytest.raises(ValidationError, match="checkpoint bank rejected: non-finite"):
+                fn(ckpt)
+
     @pytest.mark.parametrize("name, field, error", [
         ("config/enc.bn_momentum", "bn_momentum", ValidationError),
         ("config/adam_beta2", "adam_beta2", ValidationError),
@@ -836,11 +854,22 @@ class TestResume:
         with pytest.raises(ValidationError):
             train(bad, tr, va, resume=first.final)
 
-    @pytest.mark.parametrize("name", ["adam/t", "state/epoch", "state/iteration"])
-    def test_nan_counter_rejected(self, tiny_splits, one_epoch, name):
+    @pytest.mark.parametrize("name, value", [
+        pytest.param(name, value, id=name + suffix)
+        for name in ("adam/t", "state/epoch", "state/iteration")
+        for value, suffix in ((np.nan, ""), (-1.0, "-negative"))])
+    def test_nan_counter_rejected(self, tiny_splits, one_epoch, name, value):
         tr, va, _ = tiny_splits
-        ckpt = Checkpoint({**one_epoch.tensors, name: np.asarray(np.nan)})
+        ckpt = Checkpoint({**one_epoch.tensors, name: np.asarray(value)})
         with pytest.raises(ValidationError, match=name):
+            train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va, resume=ckpt)
+
+    def test_iteration_behind_bank_rejected(self, tiny_splits, one_epoch):
+        tr, va, _ = tiny_splits
+        newest = one_epoch.counter("bank/0002/iter")
+        ckpt = Checkpoint({**one_epoch.tensors, "state/iteration": np.asarray(newest - 1.0)})
+        with pytest.raises(ValidationError, match=f"before its newest bank entry's "
+                                                  f"iteration {newest}"):
             train(_tiny_config(epochs=2, batch_size=8, bank_size=2), tr, va, resume=ckpt)
 
     @pytest.mark.parametrize("name, value", [("adam/m/head.b", np.zeros(1)),

@@ -21,27 +21,30 @@ broadcast operands are summed back to the operand's shape.
 
 The network kernels are written around few passes over memory, and an
 untaped forward pass does only the work its output needs. ``conv1d``
-lowers to one GEMM per direction over a channel-major im2col matrix of
-shape (Cin*k, B*T_out). Train-mode ``batchnorm`` centres its input once
-and reuses the centred copy for the variance and the normalized output;
-its backward reuses the two channel sums it needs for the affine
-gradients. Eval-mode ``batchnorm`` is one per-channel affine ``x * scale +
-shift`` written into one fresh array. Untaped ``relu`` builds no mask.
-``avg_pool1d`` adds its strided window phases into the fresh output
-instead of reducing over a short inner axis, and its backward writes each
-phase of the gradient once.
+builds no column matrix for the whole batch: its forward lowers a chunk
+of clips at a time to an im2col matrix within a fixed byte budget, and its
+backward is one GEMM per kernel offset and gradient on views of the
+input with time flattened across clips. Train-mode ``batchnorm`` centres
+its input once and reuses the centred copy for the variance and the
+normalized output; its backward reuses the two channel sums it needs for
+the affine gradients. Eval-mode ``batchnorm`` is one per-channel affine
+``x * scale + shift`` written into one fresh array. Untaped ``relu``
+builds no mask. ``avg_pool1d`` adds its strided window phases into the
+fresh output instead of reducing over a short inner axis, and its
+backward writes each phase of the gradient once.
 
 The tape holds only the leaves with ``requires_grad`` and the captured
 nodes. Any other tensor lives on only in what its consumers' rules keep:
-``conv1d`` its input array and kernel, train-mode ``batchnorm`` x_hat,
-inv_std and gamma, ``relu`` the 1-byte mask, ``mul``/``div`` the operands
-a live side reads, ``matmul`` both operands, and the pooling, reshape,
-reduction and add/sub rules only shapes and arg-max indices. The arrays
-``conv1d``, ``matmul`` and ``mul``/``div`` keep are their inputs' own, read
-at backward time, so an op's input must not be modified in place before
-the sweep. ``backward`` frees each interior gradient once its producer's
-rule has consumed it. Rules never modify what they keep, so repeated
-sweeps over one tape are reproducible.
+``conv1d`` its input array and kernel but no columns, train-mode
+``batchnorm`` x_hat, inv_std and gamma, ``relu`` the 1-byte mask,
+``mul``/``div`` the operands a live side reads, ``matmul`` both operands,
+and the pooling, reshape, reduction and add/sub rules only shapes and
+arg-max indices. The arrays ``conv1d``, ``matmul`` and ``mul``/``div``
+keep are their inputs' own, read at backward time, so an op's input must
+not be modified in place before the sweep. ``backward`` frees each
+interior gradient once its producer's rule has consumed it. Rules never
+modify what they keep, so repeated sweeps over one tape are
+reproducible.
 
 A tensor refers to the tape that registered it weakly, so a tape is freed
 as soon as its owner drops it, without waiting for the cyclic collector.
@@ -486,25 +489,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), rule)
 
 
+CONV_COLS_BYTES = 1 << 22  # byte budget of one forward chunk's column matrix
+
+
 def conv1d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     """Temporal cross-correlation of (B, Cin, T) with kernels (Cout, Cin, k).
 
     Output length is floor((T - k) / stride) + 1. No kernel flip;
     differentiable in both x and w.
 
-    The input is lowered to a channel-major im2col matrix ``cols`` of shape
-    (Cin*k, B*T_out), built with one strided copy per kernel offset from
-    the (Cin, B, T) view of the input. Forward is the GEMM ``w2 @ cols``
-    with ``w2`` the (Cout, Cin*k) kernel matrix; backward is ``g2 @ cols.T``
-    for the kernel and ``w2.T @ g2`` for the columns, which are scatter-added
-    back one offset at a time as contiguous row slabs; the column side is
-    skipped when the input is not live.
+    Neither direction builds a column matrix for the whole batch, 10-14 MB
+    at the encoder's shapes. Each such transient needs a free heap run of
+    its own size, and the heap grows whenever it has none.
 
-    Taped, the rule keeps the input array rather than ``cols``, which is
-    freed when forward returns, and rebuilds ``cols`` from it for the
-    kernel gradient (Chen et al. 2016 trade this recompute for memory).
-    The input array must therefore not be modified in place before
-    backward, as for ``matmul``.
+    Forward lowers a chunk of clips at a time to a channel-major im2col
+    matrix ``cols`` of shape (Cin*k, chunk*T_out), one strided copy per
+    kernel offset, and the chunk's GEMM ``w2 @ cols`` (``w2`` the
+    (Cout, Cin*k) kernel matrix) is copied into its slice of the output.
+    The chunk is as many clips as fit ``CONV_COLS_BYTES`` (4 MiB), rounded
+    down to a multiple of 8 and at least 8: 16 clips at block 0, 24 at
+    block 1. Both buffers are reused by every chunk. Since each chunk's
+    columns start at a multiple of 8 within the whole batch's, OpenBLAS
+    sums every output exactly as one whole-batch GEMM does; the tests
+    check that against the whole-batch im2col oracle.
+
+    Backward builds no columns at all (low-memory GEMM convolution,
+    Anderson et al. 2017). ``xflat`` is the (Cin, B*T) input with the clips
+    end to end, and ``gflat`` the (Cout, B*T) output gradient placed where
+    its windows start, zero elsewhere. With N = B*T - k + 1, offset ``kk``
+    is one GEMM for the kernel, ``gflat[:, :N] @ xflat[:, kk:kk+N].T``,
+    and, when the input is live, one for the input, ``w[:, :, kk].T @
+    gflat[:, :N]`` added into ``gx[:, kk:kk+N]``. A window that straddles
+    two clips starts at a zero of ``gflat``, so it adds nothing, unless a
+    sample no window reads is non-finite.
+
+    Taped, the rule keeps the input array and the kernel, read at backward
+    time, so the input must not be modified in place before the sweep, as
+    for ``matmul``.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -518,33 +539,47 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         raise DimensionError(f"conv1d: kernel {k} larger than input length {t_len}")
     t_out = (t_len - k) // stride + 1
     span = stride * (t_out - 1) + 1  # input positions one kernel offset reads
-    xd = x.data
+    xd, wd = x.data, w.data
 
-    def lower() -> np.ndarray:
-        # Channel-major im2col: cols[ci, kk, b, t] = x[b, ci, t*stride + kk], so
-        # rows follow w's (Cin, k) layout and each offset is one strided copy.
-        xt = xd.transpose(1, 0, 2)  # (Cin, B, T) view
-        cols = np.empty((c_in, k, batch, t_out))
+    w2 = wd.reshape(c_out, c_in * k)
+    chunk = min(batch, max(8, CONV_COLS_BYTES // (c_in * k * t_out * 8) // 8 * 8))
+    cols_buf = np.empty(c_in * k * chunk * t_out)  # every chunk reuses both buffers
+    part_buf = np.empty(c_out * chunk * t_out)
+    out = np.empty((batch, c_out, t_out))
+    for b0 in range(0, batch, chunk):
+        xt = xd[b0:b0 + chunk].transpose(1, 0, 2)  # (Cin, n, T) view
+        n = xt.shape[1]
+        # cols[ci, kk, b, t] = x[b0 + b, ci, t*stride + kk]: rows follow w's (Cin, k) layout
+        cols = cols_buf[:c_in * k * n * t_out].reshape(c_in, k, n, t_out)
         for kk in range(k):
             cols[:, kk] = xt[:, :, kk:kk + span:stride]
-        return cols.reshape(c_in * k, batch * t_out)
-
-    w2 = w.data.reshape(c_out, c_in * k)
-    out = Tensor((w2 @ lower()).reshape(c_out, batch, t_out).transpose(1, 0, 2))
+        part = part_buf[:c_out * n * t_out].reshape(c_out, n * t_out)
+        np.matmul(w2, cols.reshape(c_in * k, n * t_out), out=part)
+        out[b0:b0 + n] = part.reshape(c_out, n, t_out).transpose(1, 0, 2)
     need_x = _needs_grad(x)
 
     def rule(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, batch * t_out)
-        gw = (g2 @ lower().T).reshape(c_out, c_in, k)
+        n_flat = batch * t_len - k + 1
+        gpad = np.zeros((c_out, batch, t_len))
+        gpad[:, :, 0:span:stride] = g.transpose(1, 0, 2)
+        gflat = gpad.reshape(c_out, batch * t_len)[:, :n_flat]
+        xflat = np.ascontiguousarray(xd.transpose(1, 0, 2)).reshape(c_in, batch * t_len)
+        gw = np.empty((c_out, c_in, k))
+        for kk in range(k):
+            gw[:, :, kk] = gflat @ xflat[:, kk:kk + n_flat].T
         if not need_x:  # e.g. the raw clip batch
             return (None, gw)
-        gcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
-        gxt = np.zeros((c_in, batch, t_len))
-        for kk in range(k):  # windows overlap, so scatter-add per offset
-            gxt[:, :, kk:kk + span:stride] += gcols[:, kk]
-        return (np.ascontiguousarray(gxt.transpose(1, 0, 2)), gw)
+        del xflat  # free before the input gradient's buffers
+        wt = np.ascontiguousarray(wd.transpose(2, 1, 0))  # (k, Cin, Cout)
+        gxflat = np.zeros((c_in, batch * t_len))
+        part = np.empty((c_in, n_flat))
+        for kk in range(k):  # windows overlap, so add per offset
+            np.matmul(wt[kk], gflat, out=part)
+            gxflat[:, kk:kk + n_flat] += part
+        del gpad, gflat, part
+        return (np.ascontiguousarray(gxflat.reshape(c_in, batch, t_len).transpose(1, 0, 2)), gw)
 
-    return _record(out, (x, w), rule)
+    return _record(Tensor(out), (x, w), rule)
 
 
 def avg_pool1d(x: Tensor, pool_len: int) -> Tensor:

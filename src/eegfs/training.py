@@ -375,32 +375,48 @@ def check_dataset_shape(encoder: EncoderConfig, ds: Dataset) -> None:
 
 def check_train_inputs(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
                        resume: Optional[Checkpoint] = None) -> None:
-    """Every check ``train`` makes before it builds a model: a valid config,
+    """Every check ``train`` makes before its first step: a valid config,
     non-empty train and validation sets whose clips fit the encoder, and a
     ``resume`` checkpoint, if any, of the same configuration (the epoch
     budget aside) that stopped short of ``config.epochs``, with counters
-    that are non-negative integers and an iteration no older than its
-    newest bank entry's."""
+    that are non-negative integers, an iteration no older than its newest
+    bank entry's, and a model, bank and Adam moments that restore."""
+    _start_state(config, ds_train, ds_val, resume)
+
+
+def _start_state(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
+                 resume: Optional[Checkpoint]
+                 ) -> tuple[Encoder, Optional[FeatureSelector], AdamMoments, int, int]:
+    """The encoder, selector, Adam moments, epoch and iteration ``train``
+    starts from, built once every check of ``check_train_inputs`` passes."""
     config.validate()
     if not ds_train.clips or not ds_val.clips:
         raise ValidationError("train and validation datasets must be non-empty")
     check_dataset_shape(config.encoder, ds_train)
     check_dataset_shape(config.encoder, ds_val)
     if resume is None:
-        return
+        enc = Encoder(config.encoder, seed=config.seed)
+        sel = _make_selector(config) if config.fs_enabled else None
+        return enc, sel, AdamMoments.zeros_like(enc.params), 0, 0
     if replace(resume.config(), epochs=0) != replace(config, epochs=0):
         raise ValidationError("resume checkpoint configuration does not match the active one")
     if resume.epoch >= config.epochs:
         raise ValidationError(
             f"checkpoint is already at epoch {resume.epoch}; nothing to resume "
             f"within an epoch budget of {config.epochs}")
-    resume.counter("adam/t")
+    adam_t = resume.counter("adam/t")
     iteration = resume.counter("state/iteration")
     newest = max((resume.counter(n) for n in resume.tensors
                   if n.startswith("bank/") and n.endswith("/iter")), default=0)
     if iteration < newest:
         raise ValidationError(f"checkpoint tensor 'state/iteration' holds {iteration}, "
                               f"before its newest bank entry's iteration {newest}")
+    _, enc, sel = restore_model(resume)
+    moments = AdamMoments(
+        m={n: resume.tensor_like(f"adam/m/{n}", p.shape) for n, p in enc.params.items()},
+        v={n: resume.tensor_like(f"adam/v/{n}", p.shape) for n, p in enc.params.items()},
+        t=adam_t)
+    return enc, sel, moments, resume.epoch, iteration
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -483,20 +499,7 @@ def train(config: TrainConfig, ds_train: Dataset, ds_val: Dataset,
     resume ``best``, ``best_epoch`` and ``alpha_trajectory_sha256`` cover
     only the resumed epochs.
     """
-    check_train_inputs(config, ds_train, ds_val, resume)
-    if resume is None:
-        enc = Encoder(config.encoder, seed=config.seed)
-        sel = _make_selector(config) if config.fs_enabled else None
-        moments = AdamMoments.zeros_like(enc.params)
-        start_epoch = iteration = 0
-    else:
-        _, enc, sel = restore_model(resume)
-        moments = AdamMoments(
-            m={n: resume.tensor_like(f"adam/m/{n}", p.shape) for n, p in enc.params.items()},
-            v={n: resume.tensor_like(f"adam/v/{n}", p.shape) for n, p in enc.params.items()},
-            t=resume.counter("adam/t"))
-        start_epoch = resume.epoch
-        iteration = resume.counter("state/iteration")
+    enc, sel, moments, start_epoch, iteration = _start_state(config, ds_train, ds_val, resume)
 
     log: list[EpochRow] = []
     traj = hashlib.sha256() if config.fs_enabled else None

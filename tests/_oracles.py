@@ -86,6 +86,36 @@ def conv1d_vjp_basis(x, w, g, stride=1):
     return gx, gw
 
 
+def conv1d_im2col(x, w, g, stride=1):
+    """(out, gx, gw) of sum(g * conv1d(x, w)) through one channel-major
+    im2col matrix of shape (Cin*k, B*T_out) for the whole batch
+    (Chellapilla et al. 2006), one GEMM per direction: the package's kernel
+    before its forward went by chunks of clips and its backward by
+    flattened time."""
+    batch, c_in, t_len = x.shape
+    c_out, _, k = w.shape
+    t_out = (t_len - k) // stride + 1
+    span = stride * (t_out - 1) + 1
+
+    def lower():
+        # cols[ci, kk, b, t] = x[b, ci, t*stride + kk]
+        xt = x.transpose(1, 0, 2)
+        cols = np.empty((c_in, k, batch, t_out))
+        for kk in range(k):
+            cols[:, kk] = xt[:, :, kk:kk + span:stride]
+        return cols.reshape(c_in * k, batch * t_out)
+
+    w2 = w.reshape(c_out, c_in * k)
+    out = (w2 @ lower()).reshape(c_out, batch, t_out).transpose(1, 0, 2)
+    g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, batch * t_out)
+    gw = (g2 @ lower().T).reshape(c_out, c_in, k)
+    gcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
+    gxt = np.zeros((c_in, batch, t_len))
+    for kk in range(k):
+        gxt[:, :, kk:kk + span:stride] += gcols[:, kk]
+    return np.ascontiguousarray(out), np.ascontiguousarray(gxt.transpose(1, 0, 2)), gw
+
+
 def batchnorm_train_vjp(x, gamma, g, eps):
     """Textbook train-mode batch-norm backward (Ioffe & Szegedy 2015, the
     chain rule through the batch mean and variance), channel by channel.

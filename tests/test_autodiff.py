@@ -37,6 +37,7 @@ from _oracles import (
     batchnorm_formula,
     batchnorm_train_vjp,
     check_gradients,
+    conv1d_im2col,
     conv1d_loops,
     conv1d_offsets,
     conv1d_vjp_basis,
@@ -180,6 +181,30 @@ class TestConv1d:
         gx_full, gw_full = rules[True](g)
         assert gx_pruned is None and gx_full.shape == x.shape
         np.testing.assert_array_equal(gw_pruned, gw_full)
+
+    # (x shape, w shape, stride): both production shapes, the 48-clip last
+    # training batch, a batch that leaves a short last forward chunk, and
+    # strides whose last window stops short of the clip end, (T - k) % stride
+    # != 0, where a window over flattened time could reach into the next clip
+    IM2COL_CASES = [((64, 16, 250), (32, 16, 7), 1), ((64, 32, 122), (64, 32, 5), 1),
+                    ((48, 16, 250), (32, 16, 7), 1), ((48, 32, 122), (64, 32, 5), 1),
+                    ((100, 32, 122), (64, 32, 5), 1), ((64, 16, 250), (32, 16, 7), 2),
+                    ((64, 32, 122), (64, 32, 5), 2), ((64, 16, 251), (32, 16, 7), 3),
+                    ((48, 32, 124), (64, 32, 5), 3)]
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride", IM2COL_CASES)
+    def test_matches_whole_batch_im2col(self, x_shape, w_shape, stride):
+        rng = np.random.default_rng(x_shape[0] + x_shape[2] + stride)
+        x = rng.standard_normal(x_shape)
+        x[:, :, [0, -1]] += np.sign(x[:, :, [0, -1]]) * 50.0  # large samples at every clip edge
+        w = rng.standard_normal(w_shape)
+        t_out = (x_shape[2] - w_shape[2]) // stride + 1
+        g = rng.standard_normal((x_shape[0], w_shape[0], t_out))
+        want_out, want_gx, want_gw = conv1d_im2col(x, w, g, stride)
+        out, (gx, gw) = _vjp(lambda a, b: conv1d(a, b, stride=stride), [x, w], g)
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(gx, want_gx)
+        assert _rel_err(gw, want_gw) < 1e-14
 
 
 class TestBatchNorm:
@@ -632,3 +657,35 @@ def test_conv1d_tape_holds_only_its_output(x_shape, w_shape, live):
     finally:
         tracemalloc.stop()
     assert held <= 1.05 * out.data.nbytes
+
+
+@pytest.mark.parametrize("part", ["forward", "taped_forward", "rule"])
+@pytest.mark.parametrize("x_shape,w_shape,live", [(*PRODUCTION_CONVS[0], False),
+                                                  (*PRODUCTION_CONVS[1], True)],
+                         ids=["block0", "block1"])
+def test_conv1d_peaks_under_10_mb(x_shape, w_shape, live, part):
+    """No call builds a column matrix for the whole batch, which is 14 MB at
+    block 0: a forward chunk's columns and the backward's flattened copies
+    keep each call's traced peak under 10 MB. The input is live as in
+    training, so block 1's rule computes the input gradient too."""
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=live)
+    w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+    tape = Tape()
+    with tape:
+        out = conv1d(x, w)
+    rule = tape._records[-1][2]
+    g = rng.standard_normal(out.shape)
+    tracemalloc.start()
+    try:
+        if part == "rule":
+            rule(g)
+        elif part == "taped_forward":
+            with Tape():
+                conv1d(x, w)
+        else:
+            conv1d(x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, f"{part} peaked at {peak / 1e6:.1f} MB"

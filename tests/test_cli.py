@@ -556,6 +556,25 @@ def _resume_negative_epoch(tmp_path, data, ckpt):
     return _train_argv(tmp_path, data, "--no-fs", "--resume", str(path)) + ["--set", "epochs=3"]
 
 
+def _resume_nan_bank_entry(tmp_path, data, ckpt):
+    # the run with selection that TestInvalidInputExits2.fs_run trains beside ckpt's
+    old = load(ckpt.parent.parent / "fs" / "checkpoint.bin")
+    grads = old.tensors["bank/0001/grads"].copy()
+    grads[0, 0, 0] = np.nan
+    old.tensors["bank/0001/grads"] = grads
+    path = tmp_path / "old.bin"
+    save(old, path)
+    return _train_argv(tmp_path, data, "--resume", str(path)) + ["--set", "epochs=3"]
+
+
+def _resume_adam_moment_shape(tmp_path, data, ckpt):
+    old = load(ckpt)
+    old.tensors["adam/m/head.b"] = np.zeros(3)
+    path = tmp_path / "old.bin"
+    save(old, path)
+    return _train_argv(tmp_path, data, "--no-fs", "--resume", str(path)) + ["--set", "epochs=3"]
+
+
 def _grid_empty(tmp_path, data, ckpt):
     return _ablate_argv(tmp_path, data, ";")
 
@@ -590,7 +609,9 @@ _BAD_RESUMES = [
     (_retired_setting_in_checkpoint, "'config/adam_beta1' holds 0.8"),
     (_resume_other_bank_size, "does not match the active one"),
     (_resume_exhausted_budget, "already at epoch 2"),
-    (_resume_negative_epoch, "'state/epoch' must be an integer >= 0")]
+    (_resume_negative_epoch, "'state/epoch' must be an integer >= 0"),
+    (_resume_nan_bank_entry, "checkpoint bank rejected: non-finite"),
+    (_resume_adam_moment_shape, "'adam/m/head.b' has shape (3,)")]
 
 
 class TestInvalidInputExits2:
@@ -602,6 +623,14 @@ class TestInvalidInputExits2:
                   + _sets(SMALL))
         assert rc == 0
         return data, root / "run" / "checkpoint.bin"
+
+    @pytest.fixture(scope="class", autouse=True)
+    def fs_run(self, nofs_run):
+        """A run with selection beside the --no-fs one, whose bank a case corrupts."""
+        data, ckpt = nofs_run
+        rc = main(["train", "--data", str(data), "--out", str(ckpt.parent.parent / "fs")]
+                  + _sets(SMALL))
+        assert rc == 0
 
     @pytest.mark.parametrize("case, expected", [
         (_non_utf8_config, "not valid UTF-8"),
